@@ -18,8 +18,8 @@ from repro.topology import build_lps
 def env():
     topo = build_lps(11, 7)  # the small-preset SpectralFly instance
     tables = RoutingTables(topo.graph)
-    tables.build_fast_path()
     policy = make_routing("minimal", tables, seed=0)
+    policy.bind_views()  # as a simulator would, before any timed call
     return topo.graph, tables, policy
 
 

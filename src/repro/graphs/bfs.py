@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.graphs.csr import CSRGraph
+from repro.graphs.csr import CSRGraph, sorted_unique
 
 UNREACHED = np.iinfo(np.int32).max
 
@@ -45,7 +45,7 @@ def bfs_distances(g: CSRGraph, source: int) -> np.ndarray:
         nbrs = nbrs[dist[nbrs] == UNREACHED]
         if len(nbrs) == 0:
             break
-        frontier = np.unique(nbrs)
+        frontier = sorted_unique(nbrs)
         dist[frontier] = level
     return dist
 

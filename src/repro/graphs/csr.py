@@ -15,6 +15,21 @@ import scipy.sparse as sp
 from repro.errors import ConstructionError
 
 
+def sorted_unique(keys: np.ndarray) -> np.ndarray:
+    """``np.unique(keys)`` for integer keys: one sort and a first-of-run mask.
+
+    Same result (the sorted distinct values, flattened, in the input
+    dtype), but numpy 2's ``np.unique`` deduplicates through a hash table
+    that is several times slower than a sort once there are ~10^3 or more
+    int64 keys, as in every topology build and BFS frontier.
+    """
+    keys = np.sort(keys, axis=None)
+    first = np.empty(keys.size, dtype=bool)
+    first[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    return keys[first]
+
+
 class CSRGraph:
     """Simple undirected graph in CSR form.
 
@@ -73,7 +88,7 @@ class CSRGraph:
         both = np.concatenate([edges, edges[:, ::-1]], axis=0)
         keys = both[:, 0] * n + both[:, 1]
         if not allow_parallel:
-            keys = np.unique(keys)
+            keys = sorted_unique(keys)
         else:
             keys = np.sort(keys)
         heads = keys // n

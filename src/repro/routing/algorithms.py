@@ -16,19 +16,27 @@ A policy object is stateless across packets; per-packet routing state
 Hot-path notes (see ``docs/performance.md``)
 --------------------------------------------
 
-Next-hop candidates come from the flat table built by
-:meth:`RoutingTables.build_fast_path` — two scalar indptr reads and one
-indices read per hop — and random values are drawn from a refillable block
-of ``rng.random(_RNG_BLOCK)`` floats instead of one ``rng.integers`` call
-per packet/hop.  Runs remain bit-for-bit deterministic for a fixed seed,
-but the *draw order* (and hence the exact random stream) differs from the
+Next-hop candidates come from the event engine's views of the flat table
+(:meth:`RoutingTables.next_hop_table`: Python lists up to
+``LIST_CELLS_MAX`` cells) — two scalar indptr reads and one indices read
+per hop.  A policy binds those views in :meth:`RoutingPolicy.bind_views`,
+which :class:`~repro.sim.network.NetworkSimulator` calls in its
+constructor; until then each view attribute holds a placeholder that binds
+them on first read, so a policy used without a simulator still routes,
+and one driven by the batched engine (which gathers from the stored
+arrays itself) never builds them.
+
+Random values are drawn from a refillable block of
+``rng.random(_RNG_BLOCK)`` floats instead of one ``rng.integers`` call per
+packet/hop.  Runs remain bit-for-bit deterministic for a fixed seed, but
+the *draw order* (and hence the exact random stream) differs from the
 pre-fast-path implementation, so per-packet outcomes are not comparable
 across that boundary; distributions and seeded reproducibility are.
 """
 
 from __future__ import annotations
 
-from repro.routing.tables import RoutingTables
+from repro.routing.tables import RoutingTables, _Unbound
 from repro.utils.rng import as_rng
 
 #: Random floats drawn per generator refill.  One block of 8192 costs about
@@ -66,12 +74,25 @@ class RoutingPolicy:
             self.next_hop = self._next_hop_oracle
         else:
             self._oracle = None
-            self._nh_indptr, self._nh_indices = tables.next_hop_table()
-            self._dist_flat = tables.dist_flat
-            if type(self._nh_indices) is list:
-                # List-backed tables hold Python ints already; shadow the
-                # method with the variant that skips the int() wraps.
-                self._random_minimal = self._random_minimal_list
+            self._nh_indptr = _Unbound(self, "_nh_indptr")
+            self._nh_indices = _Unbound(self, "_nh_indices")
+            self._dist_flat = _Unbound(self, "_dist_flat")
+
+    def bind_views(self) -> None:
+        """Bind the flat-table views the per-hop methods read.
+
+        Builds the tables' list views on first call (see
+        :mod:`repro.routing.tables`); a no-op on oracle-backed tables.
+        """
+        if self._oracle is not None:
+            return
+        tables = self.tables
+        self._nh_indptr, self._nh_indices = tables.next_hop_table()
+        self._dist_flat = tables.dist_flat
+        if type(self._nh_indices) is list:
+            # List views hold Python ints already; shadow the method with
+            # the variant that skips the int() wraps.
+            self._random_minimal = self._random_minimal_list
 
     def required_vcs(self) -> int:
         """Virtual channels needed for deadlock freedom (Section V-A)."""
@@ -115,7 +136,7 @@ class RoutingPolicy:
         return int(self._nh_indices[lo + int(buf[pos] * width)])
 
     def _random_minimal_list(self, router: int, dst: int) -> int:
-        """`_random_minimal` minus the int() wraps (list-backed tables)."""
+        """`_random_minimal` minus the int() wraps (list views)."""
         indptr = self._nh_indptr
         k = router * self._n + dst
         lo = indptr[k]
@@ -237,7 +258,7 @@ class MinimalRouting(RoutingPolicy):
     def next_hop(self, net, router: int, pkt) -> int:  # noqa: ARG002
         # _random_minimal inlined: the simulator pays one Python call per
         # hop on the hottest policy, not two.  int() is a no-op pass-through
-        # on list-backed tables and the numpy-scalar conversion otherwise.
+        # on list views and the numpy-scalar conversion otherwise.
         indptr = self._nh_indptr
         k = router * self._n + pkt.dst_router
         lo = indptr[k]

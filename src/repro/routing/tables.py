@@ -20,10 +20,21 @@ Two query paths coexist:
   order.  Together with :attr:`edge_index` (a dict mapping
   ``u * n + v -> directed edge id``) this turns every per-hop query into
   one or two O(1) scalar reads — no per-packet numpy slicing, boolean
-  masking, or ``searchsorted``.  On small/medium topologies the flat arrays
-  are converted to plain Python lists, whose scalar indexing is ~3x faster
-  than numpy's; past :data:`LIST_CELLS_MAX` cells they stay numpy arrays to
-  bound memory.
+  masking, or ``searchsorted``.
+
+The table has **one stored form**: the ndarray pair ``(indptr int64,
+indices int32)`` that :meth:`next_hop_arrays` returns and the disk cache
+holds.  The vectorized batched engine gathers from it directly.  The
+event engine's scalar reads are ~3x faster on plain Python lists, so
+:attr:`nh_indptr`, :attr:`nh_indices` and :attr:`dist_flat` are *views*
+for it: lists up to :data:`LIST_CELLS_MAX` cells, the arrays themselves
+past it (to bound memory).  Each view is built on first request and kept;
+a process that only runs the batched engine never builds one.
+Consumers that cache views in attributes (routing policies,
+:class:`FaultMask`) start with :class:`_Unbound` placeholders and bind the
+real views on first read, or earlier via ``bind_views()`` — which
+:class:`~repro.sim.network.NetworkSimulator` calls in its constructor, so
+no timed run pays for the conversion.
 
 Everything O(n^2) is **lazy** behind a pluggable oracle seam
 (:mod:`repro.routing.oracles`): construction costs one connectivity BFS and
@@ -49,18 +60,43 @@ to disable.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 
 from repro.graphs.bfs import UNREACHED, bfs_distances, distance_matrix
 from repro.graphs.csr import CSRGraph
 from repro.utils.diskcache import get_default_cache
 
-#: Above this many ``(router, destination)`` cells the flat next-hop arrays
-#: stay numpy (memory-bounded); at or below it they become Python lists,
-#: trading memory for the fastest possible scalar indexing.  2**21 cells
-#: covers every topology of the small/paper size classes up to ~1.4K
-#: routers.
+#: Above this many ``(router, destination)`` cells the event engine's views
+#: of the flat tables (:attr:`RoutingTables.nh_indptr` and friends) are the
+#: numpy arrays themselves (memory-bounded); at or below it they are Python
+#: lists, trading memory for the fastest possible scalar indexing.  2**21
+#: cells covers every topology of the small/paper size classes up to ~1.4K
+#: routers.  The stored arrays and the batched engine ignore it.
 LIST_CELLS_MAX = 1 << 21
+
+
+class _Unbound:
+    """A consumer's flat-table view attribute before it is bound.
+
+    :class:`~repro.routing.algorithms.RoutingPolicy` and :class:`FaultMask`
+    start with one of these in each view attribute.  The first index calls
+    ``owner.bind_views()``, which replaces every placeholder with the real
+    list or array view, then answers from the bound view.  Only that first
+    read pays; later reads are plain attribute loads of the real view, so
+    per-hop code carries no "bound yet?" branch.
+    """
+
+    __slots__ = ("owner", "attr")
+
+    def __init__(self, owner, attr: str) -> None:
+        self.owner = owner
+        self.attr = attr
+
+    def __getitem__(self, i):
+        self.owner.bind_views()
+        return getattr(self.owner, self.attr)[i]
 
 
 class RoutingTables:
@@ -89,14 +125,9 @@ class RoutingTables:
         self._edge_index: dict[int, int] | None = None
         self._indptr_list: list[int] = graph.indptr.tolist()
 
-        # Flat next-hop table; built lazily (only simulations need it).
-        self._nh_indptr = None
-        self._nh_indices = None
-        #: Row-major flat view of ``dist`` for O(1) scalar reads
-        #: (``dist_flat[u * n + d]``); a Python list on small topologies,
-        #: a raveled int16 view otherwise.  Populated by
-        #: :meth:`build_fast_path`.
-        self.dist_flat = None
+        # Flat next-hop arrays; built lazily (only simulations need them).
+        self._nh_indptr: np.ndarray | None = None
+        self._nh_indices: np.ndarray | None = None
 
     # -- oracle seam ---------------------------------------------------------
     @property
@@ -223,7 +254,7 @@ class RoutingTables:
         return indptr, indices
 
     def build_fast_path(self) -> None:
-        """Build (or load from the disk cache) the flat next-hop table."""
+        """Build (or load from the disk cache) the flat next-hop arrays."""
         if self._nh_indptr is not None:
             return
         if self.is_lazy:
@@ -235,33 +266,54 @@ class RoutingTables:
             )
         else:
             indptr, indices = self._build_next_hop_table()
-        if self.n * self.n <= LIST_CELLS_MAX:
-            self._nh_indptr = indptr.tolist()
-            self._nh_indices = indices.tolist()
-            self.dist_flat = self.dist.ravel().tolist()
-        else:
-            self._nh_indptr = indptr
-            self._nh_indices = indices
-            self.dist_flat = self.dist.ravel()
+        self._nh_indptr = indptr
+        self._nh_indices = indices
 
-    def next_hop_table(self):
-        """The flat ``(nh_indptr, nh_indices)`` pair (built on first use).
+    def next_hop_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """The flat table as stored: ``(indptr int64, indices int32)``.
 
-        Both are Python lists on small/medium topologies and numpy arrays
-        past :data:`LIST_CELLS_MAX` cells; either way
-        ``nh_indices[nh_indptr[u*n + d] : nh_indptr[u*n + d + 1]]`` are the
-        minimal next hops of ``(u, d)``.
+        ``indices[indptr[u*n + d] : indptr[u*n + d + 1]]`` are the minimal
+        next hops of ``(u, d)``.  Built or loaded on first use; what the
+        batched engine gathers from.
         """
         self.build_fast_path()
         return self._nh_indptr, self._nh_indices
 
+    def _view(self, arr: np.ndarray):
+        return arr.tolist() if self.n * self.n <= LIST_CELLS_MAX else arr
+
+    @cached_property
+    def nh_indptr(self):
+        """Event-engine view of the table's ``indptr`` (built on first use)."""
+        return self._view(self.next_hop_arrays()[0])
+
+    @cached_property
+    def nh_indices(self):
+        """Event-engine view of the table's ``indices`` (built on first use)."""
+        return self._view(self.next_hop_arrays()[1])
+
+    @cached_property
+    def dist_flat(self):
+        """Row-major flat view of :attr:`dist` (``dist_flat[u * n + d]``)
+        for O(1) scalar reads: a list on small topologies, a raveled int16
+        view otherwise.  Built on first use."""
+        return self._view(self.dist.ravel())
+
+    def next_hop_table(self):
+        """The event engine's ``(nh_indptr, nh_indices)`` views.
+
+        Both are Python lists on small/medium topologies and the numpy
+        arrays of :meth:`next_hop_arrays` past :data:`LIST_CELLS_MAX`
+        cells; either way ``nh_indices[nh_indptr[u*n + d] :
+        nh_indptr[u*n + d + 1]]`` are the minimal next hops of ``(u, d)``.
+        """
+        return self.nh_indptr, self.nh_indices
+
     def table_next_hops(self, u: int, d: int) -> np.ndarray:
         """Candidates of ``(u, d)`` read from the flat table (test hook)."""
-        self.build_fast_path()
+        indptr, indices = self.next_hop_arrays()
         k = u * self.n + d
-        lo = self._nh_indptr[k]
-        hi = self._nh_indptr[k + 1]
-        return np.asarray(self._nh_indices[lo:hi], dtype=np.int32)
+        return indices[indptr[k] : indptr[k + 1]]
 
     def fault_mask(self) -> "FaultMask":
         """A fresh incremental fault overlay on this table (pristine)."""
@@ -306,13 +358,12 @@ class FaultMask:
             self._oracle = tables.oracle
             self._nh_indptr = None
             self._nh_indices = None
-            self._dist_flat = None
         else:
-            tables.build_fast_path()
+            # Only the event engine's live_min_candidates reads these; the
+            # batched engine filters the arrays itself and never binds them.
             self._oracle = None
-            self._nh_indptr = tables._nh_indptr
-            self._nh_indices = tables._nh_indices
-            self._dist_flat = tables.dist_flat
+            self._nh_indptr = _Unbound(self, "_nh_indptr")
+            self._nh_indices = _Unbound(self, "_nh_indices")
         self._edge_index = tables.edge_index
         self._indptr = tables._indptr_list
         self._neighbors: list[list[int]] = [
@@ -322,6 +373,11 @@ class FaultMask:
         self._dead_edge: list[int] = [0] * len(g.indices)
         self._dead_router: list[bool] = [False] * self._n
         self._n_dead = 0  # total failure multiplicity + dead routers
+
+    def bind_views(self) -> None:
+        """Bind the flat-table views :meth:`live_min_candidates` reads."""
+        if self._oracle is None:
+            self._nh_indptr, self._nh_indices = self.tables.next_hop_table()
 
     # -- state ---------------------------------------------------------------
     @property
@@ -422,33 +478,20 @@ class FaultMask:
         The non-minimal escape hatch when :meth:`live_min_candidates` comes
         back empty.  Empty iff ``u`` has no live outgoing link at all.
         """
-        dead = self._dead_edge
-        if self._dist_flat is None:
-            # Lazy mode: the destination's distance row (undirected, so
-            # row(d)[v] == d(v, d)) through the oracle's bounded LRU —
-            # pristine distances, i.e. exactly the stale metric.
+        # The destination's distance row (undirected, so row(d)[v] ==
+        # d(v, d)): pristine distances, i.e. exactly the stale metric; in
+        # lazy mode through the oracle's bounded LRU.
+        if self._oracle is None:
+            dist_row = self.tables.dist[d]
+        else:
             dist_row = self._oracle.row(d)
-            eid = self._indptr[u]
-            best = None
-            out: list[int] = []
-            for v in self._neighbors[u]:
-                if not dead[eid]:
-                    d_v = int(dist_row[v])
-                    if best is None or d_v < best:
-                        best = d_v
-                        out = [v]
-                    elif d_v == best:
-                        out.append(v)
-                eid += 1
-            return out
-        dist = self._dist_flat
-        n = self._n
+        dead = self._dead_edge
         eid = self._indptr[u]
         best = None
-        out = []
+        out: list[int] = []
         for v in self._neighbors[u]:
             if not dead[eid]:
-                d_v = int(dist[v * n + d])
+                d_v = int(dist_row[v])
                 if best is None or d_v < best:
                     best = d_v
                     out = [v]

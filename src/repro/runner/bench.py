@@ -742,6 +742,7 @@ def run_micro(n_ops: int = 50_000) -> dict[str, float]:
     g = topo.graph
     tables = RoutingTables(g)
     policy = make_routing("minimal", tables, seed=0)
+    policy.bind_views()  # as a simulator would: outside the timed loops
 
     rng = np.random.default_rng(12345)
     n = g.n

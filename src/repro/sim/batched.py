@@ -9,10 +9,10 @@ cycle at a time as numpy array programs** over the same CSR-of-CSR
   bytes_per_ns`` — the bandwidth quantum.  Every output port (one per
   directed edge) and every ejection port transmits at most one packet per
   cycle, which reproduces the event engine's service rate exactly;
-* **injection** comes from the pre-drawn per-source arrays
-  (:meth:`~repro.sim.traffic.OpenLoopSource.predraw`): identical Poisson
-  gaps and destinations to the event engine at equal seeds, NIC
-  serialization resolved by a vectorized max-scan before the cycle loop;
+* **injection** comes from one bulk predraw of every source's schedule
+  (:func:`~repro.sim.traffic.predraw_sources`): identical Poisson gaps and
+  destinations to the event engine at equal seeds, NIC serialization
+  resolved by a vectorized max-scan before the cycle loop;
 * **routing** is a per-cycle vectorized next-hop lookup: two ``nh_indptr``
   gathers and one ``nh_indices`` gather per arriving batch, uniform
   tie-breaks from one block of uniforms (Valiant/UGAL source decisions are
@@ -103,6 +103,7 @@ from repro.routing.tables import RoutingTables
 from repro.sim import capabilities
 from repro.sim.channel import ChannelModel, packet_key
 from repro.sim.stats import SimStats
+from repro.sim.traffic import predraw_sources
 from repro.topology.base import Topology
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -168,11 +169,12 @@ class BatchedSimulator:
         self._sources: list = []
         self.on_delivery = None
 
-        # Numpy views of the flat fast-path tables (lists on small
-        # topologies; the vectorized gathers need ndarrays).  Oracle-backed
-        # tables skip the O(n^2) flat table entirely: minimal picks go
-        # through the oracle's vectorized pick_minimal and UGAL's distance
-        # probes through distance_batch.
+        # The flat next-hop table as stored (int64 indptr, int32 indices):
+        # the vectorized gathers read it directly, with no per-simulation
+        # conversion, and the event engine's list views are never built.
+        # Oracle-backed tables skip the O(n^2) flat table entirely: minimal
+        # picks go through the oracle's vectorized pick_minimal and UGAL's
+        # distance probes through distance_batch.
         if self.tables.is_lazy:
             self._oracle = self.tables.oracle
             self._nh_indptr = None
@@ -180,9 +182,7 @@ class BatchedSimulator:
             self._dist = None
         else:
             self._oracle = None
-            nh_indptr, nh_indices = self.tables.next_hop_table()
-            self._nh_indptr = np.asarray(nh_indptr, dtype=np.int64)
-            self._nh_indices = np.asarray(nh_indices, dtype=np.int64)
+            self._nh_indptr, self._nh_indices = self.tables.next_hop_arrays()
             self._dist = self.tables.dist  # (n, n) int16
         # Directed-edge id lookup: the flat keys u*n + v are globally sorted
         # (heads ascend, CSR rows are sorted), so one searchsorted resolves
@@ -287,7 +287,8 @@ class BatchedSimulator:
                 f"no minimal next hop from {int(u[bad])} to {int(d[bad])}"
             )
         offs = (self.rng.random(len(k)) * width).astype(np.int64)
-        return self._nh_indices[lo + offs]
+        # Stored indices are int32; router ids travel as int64 everywhere.
+        return self._nh_indices[lo + offs].astype(np.int64)
 
     def _port_queued_bytes(self) -> np.ndarray:
         """Queued bytes per router output port (UGAL's queue signal).
@@ -364,23 +365,18 @@ class BatchedSimulator:
                 "batched backend needs one source per endpoint "
                 "(NIC serialization is resolved per source)"
             )
+        t0, dst_ep, counts = predraw_sources(self._sources, self.config)
+        rows = np.repeat(np.arange(len(eps), dtype=np.int64), counts)
+        src_ep = np.repeat(np.array(eps, dtype=np.int64), counts)
         # Self-sends complete instantly in the event engine (send() returns
         # before touching any counter) and never occupy the NIC: filter
-        # them per source *before* the serialization scan.
-        kept = []
-        for s in self._sources:
-            t, d = s.predraw(self.config)
-            m = d != s.endpoint
-            kept.append((t[m], d[m], s.endpoint))
-        counts = np.array([len(t) for t, _, _ in kept], dtype=np.int64)
-        n = int(counts.sum())
+        # them *before* the serialization scan.
+        m = dst_ep != src_ep
+        t0, dst_ep, src_ep, rows = t0[m], dst_ep[m], src_ep[m], rows[m]
+        n = len(t0)
         if n == 0:
             return 0
-        t0 = np.concatenate([t for t, _, _ in kept])
-        dst_ep = np.concatenate([d for _, d, _ in kept])
-        src_ep = np.repeat(
-            np.array([ep for _, _, ep in kept], dtype=np.int64), counts
-        )
+        counts = np.bincount(rows, minlength=len(eps))
 
         # NIC serialization per source: d_i = max(t_i, d_{i-1}) + S, the
         # exact recurrence the event engine's NIC queue realises.  Scatter
@@ -390,11 +386,10 @@ class BatchedSimulator:
         # path so nic_done is bit-identical.
         S = self._tau
         kmax = int(counts.max())
-        rows = np.repeat(np.arange(len(kept), dtype=np.int64), counts)
         cols = np.arange(n, dtype=np.int64) - np.repeat(
             np.cumsum(counts) - counts, counts
         )
-        t2d = np.full((len(kept), kmax), np.inf)
+        t2d = np.full((len(eps), kmax), np.inf)
         t2d[rows, cols] = t0
         nic = np.empty_like(t2d)
         nic[:, 0] = t2d[:, 0] + S

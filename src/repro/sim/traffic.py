@@ -62,13 +62,23 @@ class TrafficPattern:
         """
         raise NotImplementedError
 
+    def destinations_from_u(self, src: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """:meth:`destination_from_u` over equal-length arrays (the bulk
+        predraw's form).  The default maps the scalar form pair by pair;
+        a pattern overriding both keeps them consistent."""
+        return np.fromiter(
+            map(self.destination_from_u, src.tolist(), u.tolist()),
+            dtype=np.int64, count=len(u),
+        )
+
     @property
     def batches_destinations(self) -> bool:
         """True when this pattern is on the batched destination fast path.
 
-        One definition shared by ``OpenLoopSource.start`` and ``predraw``:
-        the two must classify a pattern identically or the event and
-        batched engines' RNG draw orders silently desynchronise.
+        One definition shared by ``OpenLoopSource.start`` and
+        :func:`predraw_sources`: the two must classify a pattern
+        identically or the event and batched engines' RNG draw orders
+        silently desynchronise.
         """
         return (
             self.stochastic
@@ -88,6 +98,11 @@ class UniformRandomTraffic(TrafficPattern):
     def destination_from_u(self, src: int, u: float) -> int:
         dst = int(u * (self.n_ranks - 1))
         return dst if dst < src else dst + 1  # uniform over ranks != src
+
+    def destinations_from_u(self, src: np.ndarray, u: np.ndarray) -> np.ndarray:
+        # Same float multiply and truncation toward zero as the scalar form.
+        dst = (u * (self.n_ranks - 1)).astype(np.int64)
+        return dst + (dst >= src)
 
 
 class BitShuffleTraffic(TrafficPattern):
@@ -221,54 +236,12 @@ class OpenLoopSource:
     def predraw(self, config) -> tuple[np.ndarray, np.ndarray]:
         """Draw this source's whole injection schedule up front.
 
-        Returns ``(t_inject, dst_ep)``: absolute injection times (cumsum of
-        the Poisson gaps) and destination endpoints for every packet this
-        source will ever fire.  The batch-synchronous backend
-        (:mod:`repro.sim.batched`) injects from these arrays instead of
-        firing ``_INJECT`` events.
-
-        The draw *order* deliberately mirrors :meth:`start` + :meth:`fire`
-        exactly — one ``exponential(size=k)`` block, then (for stochastic
-        patterns on the batched fast path) one ``random(k)`` block, then
-        any legacy per-packet ``destination()`` calls — so for a fixed seed
-        the event and batched engines inject the same packets at the same
-        times toward the same destinations (pinned by
-        ``tests/test_property_traffic.py``).  Consumes this source's RNG:
-        call it *instead of* ``start()``, never after.
+        Returns ``(t_inject, dst_ep)`` for every packet this source will
+        ever fire: the one-source call of :func:`predraw_sources`, whose
+        contract it shares.  Call it *instead of* ``start()``, never after.
         """
-        mean_gap = config.packet_bytes / (
-            self.offered_load * config.bytes_per_ns
-        )
-        k = self.remaining
-        if k <= 0:
-            return (np.empty(0), np.empty(0, dtype=np.int64))
-        gaps = self.rng.exponential(mean_gap, size=k)
-        pattern = self.pattern
-        ep_of_rank = np.asarray(self.rank_to_endpoint, dtype=np.int64)
-        if not pattern.stochastic:
-            dst_rank = np.full(
-                k, pattern.destination(self.rank, self.rng), dtype=np.int64
-            )
-        elif pattern.batches_destinations:
-            us = self.rng.random(k)
-            dst_rank = np.fromiter(
-                (pattern.destination_from_u(self.rank, u) for u in us),
-                dtype=np.int64, count=k,
-            )
-        else:  # legacy contract: one destination() call per packet, in order
-            dst_rank = np.fromiter(
-                (pattern.destination(self.rank, self.rng) for _ in range(k)),
-                dtype=np.int64, count=k,
-            )
-        # Sequential accumulation, not np.cumsum: the event engine adds one
-        # gap at a time, and keeping the same float operations keeps the
-        # two engines' injection times bit-identical.
-        t = np.empty(k)
-        acc = 0.0
-        for i, g in enumerate(gaps.tolist()):
-            acc += g
-            t[i] = acc
-        return t, ep_of_rank[dst_rank]
+        t, dst_ep, _ = predraw_sources([self], config)
+        return t, dst_ep
 
     def start(self, net) -> None:
         mean_gap = net.config.packet_bytes / (
@@ -328,3 +301,100 @@ class OpenLoopSource:
             # Inlined net.schedule_inject (one call per packet saved).
             heappush(net._events, (t + self._gaps[i + 1], next(net._seq),
                                    _INJECT, self))
+
+
+def predraw_sources(
+    sources: list[OpenLoopSource], config
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Draw the whole injection schedule of many open-loop sources at once.
+
+    Returns ``(t_inject, dst_ep, counts)``: absolute injection times and
+    destination endpoints of every packet the sources will ever fire,
+    source after source in ``sources`` order and in firing order within a
+    source, which fires ``counts[i]`` of them.  Self-sends are kept; the
+    caller drops them.  The batch-synchronous backend
+    (:mod:`repro.sim.batched`) injects from these arrays instead of firing
+    ``_INJECT`` events.
+
+    Each source's generator is drawn in exactly the order of
+    :meth:`OpenLoopSource.start` + :meth:`OpenLoopSource.fire`: one
+    ``exponential(size=k)`` block, then one ``random(k)`` block for a
+    pattern on the batched fast path, or the pattern's ``destination()``
+    calls otherwise (once for a deterministic pattern, once per packet for
+    a legacy stochastic one).  So for a fixed seed the event and batched
+    engines inject the same packets at the same times toward the same
+    destinations (pinned by ``tests/test_property_traffic.py``).  That
+    per-source draw is the only Python loop; the rest runs over all packets
+    at once.  Destinations go through
+    :meth:`TrafficPattern.destinations_from_u`.  Injection times are a
+    row-wise ``np.cumsum`` of the zero-padded ``(source, packet)`` gap
+    matrix: ``cumsum`` adds left to right, the same float operations as
+    the event engine's one ``t + gap`` per fire, so the times are
+    bit-identical.  Consumes the sources' generators.
+    """
+    packet_bytes = config.packet_bytes
+    bytes_per_ns = config.bytes_per_ns
+    gaps: list[np.ndarray] = []
+    us: list[np.ndarray] = []
+    legacy: list[int] = []
+    # Per source: its packet count, its fixed destination rank
+    # (deterministic patterns), its kind — the id() of its fast-path
+    # pattern, -1 deterministic, -2 legacy — and the id() of its rank map.
+    counts = [0] * len(sources)
+    fixed = [0] * len(sources)
+    kind = [-1] * len(sources)
+    map_of = [0] * len(sources)
+    fast: dict[int, TrafficPattern] = {}
+    maps: dict[int, np.ndarray | list[int]] = {}
+    for i, s in enumerate(sources):
+        k = s.remaining
+        if k <= 0:
+            continue
+        counts[i] = k
+        rng = s.rng
+        mean_gap = packet_bytes / (s.offered_load * bytes_per_ns)
+        gaps.append(rng.exponential(mean_gap, size=k))
+        pattern = s.pattern
+        if not pattern.stochastic:
+            fixed[i] = pattern.destination(s.rank, rng)
+        elif pattern.batches_destinations:
+            us.append(rng.random(k))
+            kind[i] = id(pattern)
+            fast[id(pattern)] = pattern
+        else:  # legacy contract: one destination() call per packet, in order
+            legacy.extend(pattern.destination(s.rank, rng) for _ in range(k))
+            kind[i] = -2
+        map_of[i] = id(s.rank_to_endpoint)
+        maps[id(s.rank_to_endpoint)] = s.rank_to_endpoint
+
+    counts = np.array(counts, dtype=np.int64)
+    n = int(counts.sum())
+    if n == 0:
+        return np.empty(0), np.empty(0, dtype=np.int64), counts
+
+    kmax = int(counts.max())
+    filled = np.arange(kmax) < counts[:, None]
+    gap2d = np.zeros((len(sources), kmax))
+    gap2d[filled] = np.concatenate(gaps)
+    t = np.cumsum(gap2d, axis=1)[filled]
+
+    def per_packet(values) -> np.ndarray:
+        return np.repeat(np.array(values, dtype=np.int64), counts)
+
+    src_rank = per_packet([s.rank for s in sources])
+    dst_rank = per_packet(fixed)
+    pkt_kind = per_packet(kind)
+    if fast:
+        u = np.zeros(n)
+        u[pkt_kind >= 0] = np.concatenate(us)
+        for key, pattern in fast.items():
+            sel = pkt_kind == key
+            dst_rank[sel] = pattern.destinations_from_u(src_rank[sel], u[sel])
+    if legacy:
+        dst_rank[pkt_kind == -2] = legacy
+    pkt_map = per_packet(map_of)
+    dst_ep = np.empty(n, dtype=np.int64)
+    for key, ep_of_rank in maps.items():
+        sel = pkt_map == key
+        dst_ep[sel] = np.asarray(ep_of_rank, dtype=np.int64)[dst_rank[sel]]
+    return t, dst_ep, counts

@@ -4,12 +4,37 @@ import numpy as np
 import pytest
 
 from repro.errors import ConstructionError
-from repro.graphs.csr import CSRGraph
+from repro.graphs.csr import CSRGraph, sorted_unique
 
 
 @pytest.fixture
 def triangle():
     return CSRGraph.from_edges(3, np.array([[0, 1], [1, 2], [2, 0]]))
+
+
+class TestSortedUnique:
+    @pytest.mark.parametrize(
+        "keys",
+        [
+            np.empty(0, dtype=np.int64),
+            np.array([7], dtype=np.int64),
+            np.full(50, -3, dtype=np.int64),
+            np.array([[4, 1], [4, 9]], dtype=np.int32),  # flattened
+            np.random.default_rng(0).integers(-50, 50, size=2000),
+            np.random.default_rng(1).integers(0, 2**40, size=5000),
+        ],
+        ids=["empty", "one", "all-duplicate", "2-d", "dense", "sparse"],
+    )
+    def test_matches_np_unique(self, keys):
+        got = sorted_unique(keys)
+        want = np.unique(keys)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+
+    def test_input_untouched(self):
+        keys = np.array([3, 1, 3, 2])
+        sorted_unique(keys)
+        assert keys.tolist() == [3, 1, 3, 2]
 
 
 class TestFromEdges:

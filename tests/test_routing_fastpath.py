@@ -3,13 +3,18 @@
 The fast path (``RoutingTables.build_fast_path``) must be *set-identical*
 to the reference numpy implementation (``min_next_hops``) for every
 (router, destination) pair — these tests pin that across one topology per
-family plus the generator graphs, and pin the O(1) edge-id lookup to the
+family plus the generator graphs, for the stored arrays and for both forms
+of the event engine's views (Python lists up to ``LIST_CELLS_MAX`` cells,
+the arrays themselves past it), and pin the O(1) edge-id lookup to the
 CSR-position semantics the simulator's port arrays index by.
 """
+
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import repro.routing.tables as tables_mod
 from repro.errors import ConstructionError
 from repro.graphs.csr import CSRGraph
 from repro.graphs.generators import cycle_graph, hypercube_graph
@@ -32,12 +37,25 @@ FAMILY_GRAPHS = {
 }
 
 
+@pytest.fixture(params=[list, np.ndarray], ids=["list", "ndarray"])
+def view_type(request, monkeypatch):
+    """The event engine's view form under test: ``np.ndarray`` forces the
+    past-``LIST_CELLS_MAX`` form on every topology."""
+    if request.param is np.ndarray:
+        monkeypatch.setattr(tables_mod, "LIST_CELLS_MAX", 0)
+    return request.param
+
+
 class TestNextHopTableParity:
     @pytest.mark.parametrize("family", sorted(FAMILY_GRAPHS))
-    def test_set_identical_to_min_next_hops(self, family):
+    def test_set_identical_to_min_next_hops(self, family, view_type):
         g = FAMILY_GRAPHS[family]()
         tables = RoutingTables(g, use_cache=False)
         tables.build_fast_path()
+        indptr, indices = tables.next_hop_arrays()
+        assert (indptr.dtype, indices.dtype) == (np.int64, np.int32)
+        nh_indptr, nh_indices = tables.next_hop_table()
+        assert type(nh_indptr) is type(nh_indices) is view_type
         for u in range(g.n):
             for d in range(g.n):
                 ref = tables.min_next_hops(u, d)
@@ -47,15 +65,18 @@ class TestNextHopTableParity:
                 )
                 # Same order too: both follow the sorted neighbour row.
                 assert list(map(int, fast)) == list(map(int, ref))
+                k = u * g.n + d
+                view = nh_indices[nh_indptr[k] : nh_indptr[k + 1]]
+                assert list(map(int, view)) == list(map(int, ref))
 
     def test_empty_cell_at_destination(self):
         tables = RoutingTables(hypercube_graph(3), use_cache=False)
         assert len(tables.table_next_hops(5, 5)) == 0
 
-    def test_dist_flat_matches_matrix(self):
+    def test_dist_flat_matches_matrix(self, view_type):
         g = FAMILY_GRAPHS["lps"]()
         tables = RoutingTables(g, use_cache=False)
-        tables.build_fast_path()
+        assert type(tables.dist_flat) is view_type
         n = g.n
         for u, d in [(0, 0), (0, 1), (3, 77), (n - 1, 0)]:
             assert tables.dist_flat[u * n + d] == tables.distance(u, d)
@@ -109,7 +130,6 @@ class TestNumpyBackedTables:
         # it behaviourally identical to the list-backed one, including the
         # int16 dist_flat reads in UGAL's byte-weighted cost products
         # (int16 would overflow at >32K queued bytes without int()).
-        import repro.routing.tables as tables_mod
         from repro.sim import NetworkSimulator, SimConfig
 
         g = FAMILY_GRAPHS["lps"]()
@@ -135,6 +155,43 @@ class TestNumpyBackedTables:
         assert np_stats.latencies_ns == list_stats.latencies_ns
         assert np_stats.hops == list_stats.hops
         assert np_stats.valiant_choices == list_stats.valiant_choices
+
+
+class TestPolicyViewBinding:
+    @pytest.mark.parametrize("name", ["minimal", "valiant", "ugal"])
+    def test_policy_without_simulator_binds_views_on_first_use(
+        self, name, view_type
+    ):
+        g = FAMILY_GRAPHS["lps"]()
+        tables = RoutingTables(g, use_cache=False)
+        lazy = make_routing(name, tables, seed=4)
+        assert not {"nh_indptr", "nh_indices", "dist_flat"} & vars(tables).keys()
+        eager = make_routing(name, tables, seed=4)
+        eager.bind_views()
+        # First use routes straight away and draws exactly what a policy
+        # bound up front draws.
+        net = SimpleNamespace(output_queue_bytes=lambda router, nxt: 0)
+        rng = np.random.default_rng(0)
+        for _ in range(300):
+            u, d = (int(x) for x in rng.integers(0, g.n, size=2))
+            if u == d:
+                continue
+            hops = []
+            for policy in (lazy, eager):
+                pkt = SimpleNamespace(
+                    dst_router=d, intermediate=None, phase=0, size=256
+                )
+                policy.on_source(net, u, pkt)
+                hops.append((policy.next_hop(net, u, pkt), pkt.intermediate))
+            assert hops[0] == hops[1]
+        assert lazy._nh_indptr is tables.nh_indptr
+        assert lazy._nh_indices is tables.nh_indices
+        assert lazy._dist_flat is tables.dist_flat
+        assert type(lazy._nh_indices) is view_type
+        # The list-only draw variant is bound with list views.
+        assert (lazy._random_minimal == lazy._random_minimal_list) is (
+            view_type is list
+        )
 
 
 class TestBatchedRNG:

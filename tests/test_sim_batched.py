@@ -14,7 +14,9 @@ The statistical equivalence with the event engine lives in
   callbacks, unknown policies, shared-endpoint sources) — the full
   backend x feature product lives in ``tests/test_sim_capabilities.py``;
 * fault schedules are *supported* (epoch boundaries) but attach at most
-  once and only before the run.
+  once and only before the run;
+* the engine gathers from the stored next-hop arrays: a batched run,
+  faulted or not, never builds the event engine's list views.
 """
 
 import numpy as np
@@ -22,7 +24,7 @@ import pytest
 
 from repro.errors import ParameterError, SimulationError
 from repro.routing import RoutingTables, make_routing
-from repro.sim import BatchedSimulator, SimConfig
+from repro.sim import BatchedSimulator, NetworkSimulator, SimConfig
 from repro.sim.faults import FaultSchedule
 from repro.sim.traffic import OpenLoopSource, make_traffic
 from repro.experiments.common import build_synthetic_sim
@@ -218,3 +220,49 @@ class TestUnsupportedFeaturesFailLoudly:
             config=SimConfig(concentration=2, backend="batched"),
         )
         assert isinstance(net, BatchedSimulator)
+
+
+LIST_VIEWS = {"nh_indptr", "nh_indices", "dist_flat"}
+
+
+class TestStoredTables:
+    @pytest.mark.parametrize("faulted", [False, True])
+    def test_batched_run_builds_no_list_views(self, faulted):
+        topo = build_lps(3, 5)
+        tables = RoutingTables(topo.graph, use_cache=False)
+        schedule = (
+            FaultSchedule.random_link_faults(
+                topo.graph, 0.3, t_fail=500.0, seed=2
+            )
+            if faulted
+            else None
+        )
+        net = BatchedSimulator(
+            topo, make_routing("ugal", tables, seed=0),
+            SimConfig(concentration=2), tables=tables, faults=schedule,
+        )
+        pat = make_traffic("random", 64)
+        r2e = np.arange(64, dtype=np.int64) * 3
+        for rank in range(64):
+            net.add_open_loop_source(
+                OpenLoopSource(rank, int(r2e[rank]), pat, r2e, 0.6, 8,
+                               seed=rank)
+            )
+        stats = net.run()
+        assert stats.n_injected > 0
+        if faulted:  # the stale-metric fallback ran too
+            assert stats.nonminimal_hops > 0
+        assert not LIST_VIEWS & vars(tables).keys()
+        indptr, indices = tables.next_hop_arrays()
+        assert net._nh_indptr is indptr and net._nh_indices is indices
+
+    def test_event_engine_binds_list_views_at_construction(self):
+        topo = build_lps(3, 5)
+        tables = RoutingTables(topo.graph, use_cache=False)
+        policy = make_routing("ugal", tables, seed=0)
+        NetworkSimulator(topo, policy, SimConfig(concentration=2),
+                         tables=tables)
+        assert LIST_VIEWS <= vars(tables).keys()
+        assert policy._nh_indptr is tables.nh_indptr
+        assert policy._dist_flat is tables.dist_flat
+        assert type(policy._nh_indices) is list

@@ -67,6 +67,13 @@ class TestVertexCounts:
     def test_closed_form(self, p, q, n):
         assert lps_num_vertices(p, q) == n
 
+    def test_million_router_candidate_is_the_psl_case(self):
+        # docs/scaling.md's "million-router" instance: (5/101) = 1, so
+        # LPS(5,101) is the PSL case with q(q^2-1)/2 routers, half of the
+        # PGL count.  Closed form only; the graph is never built.
+        assert legendre_symbol(5, 101) == 1
+        assert lps_num_vertices(5, 101) == 515_100
+
     def test_smallest_lps_graph_is_120(self):
         # Paper Section IV: "the smallest possible LPS graph is on 120
         # vertices".
