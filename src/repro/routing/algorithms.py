@@ -17,14 +17,19 @@ Hot-path notes (see ``docs/performance.md``)
 --------------------------------------------
 
 Next-hop candidates come from the event engine's views of the flat table
-(:meth:`RoutingTables.next_hop_table`: Python lists up to
+(:attr:`RoutingTables.nh_indptr`/``nh_indices``: Python lists up to
 ``LIST_CELLS_MAX`` cells) — two scalar indptr reads and one indices read
-per hop.  A policy binds those views in :meth:`RoutingPolicy.bind_views`,
-which :class:`~repro.sim.network.NetworkSimulator` calls in its
-constructor; until then each view attribute holds a placeholder that binds
-them on first read, so a policy used without a simulator still routes,
-and one driven by the batched engine (which gathers from the stored
-arrays itself) never builds them.
+per hop.  A policy copies those views into plain attributes in
+:meth:`RoutingPolicy.bind_views`, which
+:class:`~repro.sim.network.NetworkSimulator` calls in its constructor.
+Until then the two per-hop entry points that read them (``next_hop`` and
+``_random_minimal``) are shadowed on the instance by shims that bind
+first, so a policy used without a simulator still routes, and one driven
+by the batched engine (which gathers from the stored arrays itself) never
+builds them.  Once bound, the per-hop methods are the class's own and read
+plain instance attributes.  (A class-level ``__getattr__`` or descriptor
+would bind with less code, but on CPython 3.11 it stops the interpreter
+specialising those attribute loads, which slows every hop.)
 
 Random values are drawn from a refillable block of
 ``rng.random(_RNG_BLOCK)`` floats instead of one ``rng.integers`` call per
@@ -36,7 +41,7 @@ across that boundary; distributions and seeded reproducibility are.
 
 from __future__ import annotations
 
-from repro.routing.tables import RoutingTables, _Unbound
+from repro.routing.tables import RoutingTables
 from repro.utils.rng import as_rng
 
 #: Random floats drawn per generator refill.  One block of 8192 costs about
@@ -73,26 +78,39 @@ class RoutingPolicy:
             self._random_minimal = self._random_minimal_oracle
             self.next_hop = self._next_hop_oracle
         else:
+            # The flat-table views are unbound until the first hop (or
+            # bind_views()): shadow the two entry points that read them.
             self._oracle = None
-            self._nh_indptr = _Unbound(self, "_nh_indptr")
-            self._nh_indices = _Unbound(self, "_nh_indices")
-            self._dist_flat = _Unbound(self, "_dist_flat")
+            self.next_hop = self._next_hop_unbound
+            self._random_minimal = self._random_minimal_unbound
 
     def bind_views(self) -> None:
         """Bind the flat-table views the per-hop methods read.
 
         Builds the tables' list views on first call (see
-        :mod:`repro.routing.tables`); a no-op on oracle-backed tables.
+        :mod:`repro.routing.tables`) and drops the binding shims; a no-op
+        once bound and on oracle-backed tables.
         """
-        if self._oracle is not None:
+        if self._oracle is not None or hasattr(self, "_nh_indptr"):
             return
         tables = self.tables
-        self._nh_indptr, self._nh_indices = tables.next_hop_table()
-        self._dist_flat = tables.dist_flat
+        views = tables.nh_indptr, tables.nh_indices, tables.dist_flat
+        self._nh_indptr, self._nh_indices, self._dist_flat = views
+        del self.next_hop, self._random_minimal
         if type(self._nh_indices) is list:
             # List views hold Python ints already; shadow the method with
             # the variant that skips the int() wraps.
             self._random_minimal = self._random_minimal_list
+
+    def _next_hop_unbound(self, net, router: int, pkt) -> int:
+        """``next_hop`` before :meth:`bind_views`: bind, then route."""
+        self.bind_views()
+        return self.next_hop(net, router, pkt)
+
+    def _random_minimal_unbound(self, router: int, dst: int) -> int:
+        """``_random_minimal`` before :meth:`bind_views`: bind, then draw."""
+        self.bind_views()
+        return self._random_minimal(router, dst)
 
     def required_vcs(self) -> int:
         """Virtual channels needed for deadlock freedom (Section V-A)."""

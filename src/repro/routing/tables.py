@@ -29,19 +29,18 @@ event engine's scalar reads are ~3x faster on plain Python lists, so
 :attr:`nh_indptr`, :attr:`nh_indices` and :attr:`dist_flat` are *views*
 for it: lists up to :data:`LIST_CELLS_MAX` cells, the arrays themselves
 past it (to bound memory).  Each view is built on first request and kept;
-a process that only runs the batched engine never builds one.
-Consumers that cache views in attributes (routing policies,
-:class:`FaultMask`) start with :class:`_Unbound` placeholders and bind the
-real views on first read, or earlier via ``bind_views()`` — which
-:class:`~repro.sim.network.NetworkSimulator` calls in its constructor, so
-no timed run pays for the conversion.
+a process that only runs the batched engine never builds one.  Routing
+policies copy the views into attributes in ``bind_views()``, which
+:class:`~repro.sim.network.NetworkSimulator` calls in its constructor so
+no timed run pays for the conversion (a policy used without a simulator
+binds on its first hop); :class:`FaultMask` reads them from the tables.
 
 Everything O(n^2) is **lazy** behind a pluggable oracle seam
 (:mod:`repro.routing.oracles`): construction costs one connectivity BFS and
 the O(E) port structures, so callers that only need
 :meth:`port_of`/:meth:`directed_edge_id` never pay for (or allocate) the
 matrix.  In the default *dense* mode the matrix materialises transparently
-on first use of :attr:`dist`/:meth:`next_hop_table` — bit-identical
+on first use of :attr:`dist`/:meth:`next_hop_arrays` — bit-identical
 behaviour to the eager implementation.  Passing a non-dense oracle
 (``CayleyOracle``/``LandmarkOracle`` via
 :func:`repro.routing.oracles.oracle_for`) makes the tables answer
@@ -75,28 +74,6 @@ from repro.utils.diskcache import get_default_cache
 #: cells covers every topology of the small/paper size classes up to ~1.4K
 #: routers.  The stored arrays and the batched engine ignore it.
 LIST_CELLS_MAX = 1 << 21
-
-
-class _Unbound:
-    """A consumer's flat-table view attribute before it is bound.
-
-    :class:`~repro.routing.algorithms.RoutingPolicy` and :class:`FaultMask`
-    start with one of these in each view attribute.  The first index calls
-    ``owner.bind_views()``, which replaces every placeholder with the real
-    list or array view, then answers from the bound view.  Only that first
-    read pays; later reads are plain attribute loads of the real view, so
-    per-hop code carries no "bound yet?" branch.
-    """
-
-    __slots__ = ("owner", "attr")
-
-    def __init__(self, owner, attr: str) -> None:
-        self.owner = owner
-        self.attr = attr
-
-    def __getitem__(self, i):
-        self.owner.bind_views()
-        return getattr(self.owner, self.attr)[i]
 
 
 class RoutingTables:
@@ -203,8 +180,8 @@ class RoutingTables:
         """All neighbours of ``u`` on a shortest path to ``d``.
 
         Reference implementation (numpy slice over the CSR row); the
-        simulator hot path reads the flat table from
-        :meth:`next_hop_table` instead.  In lazy mode the oracle answers
+        simulators read the flat table (:meth:`next_hop_arrays` and its
+        views) instead.  In lazy mode the oracle answers
         bit-identically (same sorted candidate order).
         """
         if self.is_lazy:
@@ -284,12 +261,19 @@ class RoutingTables:
 
     @cached_property
     def nh_indptr(self):
-        """Event-engine view of the table's ``indptr`` (built on first use)."""
+        """Event-engine view of the table's ``indptr`` (built on first use).
+
+        A Python list up to :data:`LIST_CELLS_MAX` cells, the array of
+        :meth:`next_hop_arrays` past it; either way ``nh_indices[
+        nh_indptr[u*n + d] : nh_indptr[u*n + d + 1]]`` are the minimal
+        next hops of ``(u, d)``.
+        """
         return self._view(self.next_hop_arrays()[0])
 
     @cached_property
     def nh_indices(self):
-        """Event-engine view of the table's ``indices`` (built on first use)."""
+        """Event-engine view of the table's ``indices`` (see
+        :attr:`nh_indptr`; built on first use)."""
         return self._view(self.next_hop_arrays()[1])
 
     @cached_property
@@ -298,16 +282,6 @@ class RoutingTables:
         for O(1) scalar reads: a list on small topologies, a raveled int16
         view otherwise.  Built on first use."""
         return self._view(self.dist.ravel())
-
-    def next_hop_table(self):
-        """The event engine's ``(nh_indptr, nh_indices)`` views.
-
-        Both are Python lists on small/medium topologies and the numpy
-        arrays of :meth:`next_hop_arrays` past :data:`LIST_CELLS_MAX`
-        cells; either way ``nh_indices[nh_indptr[u*n + d] :
-        nh_indptr[u*n + d + 1]]`` are the minimal next hops of ``(u, d)``.
-        """
-        return self.nh_indptr, self.nh_indices
 
     def table_next_hops(self, u: int, d: int) -> np.ndarray:
         """Candidates of ``(u, d)`` read from the flat table (test hook)."""
@@ -354,16 +328,7 @@ class FaultMask:
         self.tables = tables
         g = tables.graph
         self._n = tables.n
-        if tables.is_lazy:
-            self._oracle = tables.oracle
-            self._nh_indptr = None
-            self._nh_indices = None
-        else:
-            # Only the event engine's live_min_candidates reads these; the
-            # batched engine filters the arrays itself and never binds them.
-            self._oracle = None
-            self._nh_indptr = _Unbound(self, "_nh_indptr")
-            self._nh_indices = _Unbound(self, "_nh_indices")
+        self._oracle = tables.oracle if tables.is_lazy else None
         self._edge_index = tables.edge_index
         self._indptr = tables._indptr_list
         self._neighbors: list[list[int]] = [
@@ -373,11 +338,6 @@ class FaultMask:
         self._dead_edge: list[int] = [0] * len(g.indices)
         self._dead_router: list[bool] = [False] * self._n
         self._n_dead = 0  # total failure multiplicity + dead routers
-
-    def bind_views(self) -> None:
-        """Bind the flat-table views :meth:`live_min_candidates` reads."""
-        if self._oracle is None:
-            self._nh_indptr, self._nh_indices = self.tables.next_hop_table()
 
     # -- state ---------------------------------------------------------------
     @property
@@ -458,19 +418,16 @@ class FaultMask:
         dead = self._dead_edge
         ei = self._edge_index
         base = u * self._n
-        if self._nh_indptr is None:
+        if self._oracle is None:
+            # The event engine's views (only its handler path calls this;
+            # the batched engine filters the stored arrays itself).
+            tables = self.tables
+            indptr = tables.nh_indptr
+            k = base + d
+            cands = tables.nh_indices[indptr[k] : indptr[k + 1]]
+        else:
             cands = self._oracle.min_next_hops(u, d)
-            return [
-                int(v) for v in cands if not dead[ei[base + int(v)]]
-            ]
-        indptr = self._nh_indptr
-        k = base + d
-        lo = indptr[k]
-        hi = indptr[k + 1]
-        nh = self._nh_indices
-        return [
-            int(v) for v in nh[lo:hi] if not dead[ei[base + int(v)]]
-        ]
+        return [int(v) for v in cands if not dead[ei[base + int(v)]]]
 
     def fallback_candidates(self, u: int, d: int) -> list[int]:
         """Live neighbours of ``u`` closest to ``d`` under the stale metric.
@@ -480,18 +437,19 @@ class FaultMask:
         """
         # The destination's distance row (undirected, so row(d)[v] ==
         # d(v, d)): pristine distances, i.e. exactly the stale metric; in
-        # lazy mode through the oracle's bounded LRU.
+        # lazy mode through the oracle's bounded LRU.  ``item`` reads a
+        # Python int straight from the array (no numpy scalar + int()).
         if self._oracle is None:
-            dist_row = self.tables.dist[d]
+            dist_of = self.tables.dist[d].item
         else:
-            dist_row = self._oracle.row(d)
+            dist_of = self._oracle.row(d).item
         dead = self._dead_edge
         eid = self._indptr[u]
         best = None
         out: list[int] = []
         for v in self._neighbors[u]:
             if not dead[eid]:
-                d_v = int(dist_row[v])
+                d_v = dist_of(v)
                 if best is None or d_v < best:
                     best = d_v
                     out = [v]

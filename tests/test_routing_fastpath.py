@@ -54,7 +54,7 @@ class TestNextHopTableParity:
         tables.build_fast_path()
         indptr, indices = tables.next_hop_arrays()
         assert (indptr.dtype, indices.dtype) == (np.int64, np.int32)
-        nh_indptr, nh_indices = tables.next_hop_table()
+        nh_indptr, nh_indices = tables.nh_indptr, tables.nh_indices
         assert type(nh_indptr) is type(nh_indices) is view_type
         for u in range(g.n):
             for d in range(g.n):
@@ -146,12 +146,12 @@ class TestNumpyBackedTables:
 
         list_tables = RoutingTables(g, use_cache=False)
         list_stats = run_sim(list_tables)
-        assert type(list_tables.next_hop_table()[0]) is list
+        assert type(list_tables.nh_indptr) is list
 
         monkeypatch.setattr(tables_mod, "LIST_CELLS_MAX", 0)
         np_tables = RoutingTables(g, use_cache=False)
         np_stats = run_sim(np_tables)
-        assert type(np_tables.next_hop_table()[0]) is np.ndarray
+        assert type(np_tables.nh_indptr) is np.ndarray
         assert np_stats.latencies_ns == list_stats.latencies_ns
         assert np_stats.hops == list_stats.hops
         assert np_stats.valiant_choices == list_stats.valiant_choices
@@ -166,6 +166,7 @@ class TestPolicyViewBinding:
         tables = RoutingTables(g, use_cache=False)
         lazy = make_routing(name, tables, seed=4)
         assert not {"nh_indptr", "nh_indices", "dist_flat"} & vars(tables).keys()
+        assert "_nh_indptr" not in vars(lazy)
         eager = make_routing(name, tables, seed=4)
         eager.bind_views()
         # First use routes straight away and draws exactly what a policy
@@ -188,6 +189,11 @@ class TestPolicyViewBinding:
         assert lazy._nh_indices is tables.nh_indices
         assert lazy._dist_flat is tables.dist_flat
         assert type(lazy._nh_indices) is view_type
+        # Bound, the class's own per-hop method routes (no shim left), and
+        # binding again is a no-op.
+        assert "next_hop" not in vars(lazy)
+        lazy.bind_views()
+        assert lazy._nh_indptr is tables.nh_indptr
         # The list-only draw variant is bound with list views.
         assert (lazy._random_minimal == lazy._random_minimal_list) is (
             view_type is list
