@@ -21,6 +21,7 @@ from repro.sim import (
 from repro.sim.traffic import OpenLoopSource
 from repro.spectral import mu1
 from repro.topology import Topology, build_size_class
+from repro.utils.rng import default_rngs
 from repro.utils.tables import render_table
 
 
@@ -172,7 +173,8 @@ def build_synthetic_sim(
         net = NetworkSimulator(topo, routing, cfg, tables=tables, faults=faults)
     rank_to_ep = place_ranks(n_ranks, net.n_endpoints, seed=seed + 1)
     pattern = make_traffic(pattern_name, n_ranks)
-    for rank in range(n_ranks):
+    rngs = default_rngs(seed * 1_000_003 + rank for rank in range(n_ranks))
+    for rank, rng in enumerate(rngs):
         net.add_open_loop_source(
             OpenLoopSource(
                 rank,
@@ -181,7 +183,7 @@ def build_synthetic_sim(
                 rank_to_ep,
                 offered_load,
                 packets_per_rank,
-                seed=seed * 1_000_003 + rank,
+                seed=rng,
             )
         )
     return net

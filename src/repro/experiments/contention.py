@@ -27,6 +27,7 @@ from repro.routing import make_routing
 from repro.sim import NetworkSimulator, SimConfig, make_traffic
 from repro.sim.traffic import OpenLoopSource
 from repro.topology import SIM_CONFIGS
+from repro.utils.rng import default_rngs
 
 
 def _run_jobs_tagged(
@@ -59,18 +60,25 @@ def _run_jobs_tagged(
             worst[0] = max(worst[0], t - pkt.t_created)
 
     net.on_delivery = hook
+    # Both jobs' ranks are numbered in one seed range, A's first: no source
+    # of B replays a stream of A, and A's streams do not depend on whether
+    # B runs, so the isolated and contended runs inject the same job-A
+    # traffic, which the slowdown ratio compares.
+    base = seed * 1_000_003
     pat_a = make_traffic("shuffle", job_a_ranks)
-    for rank in range(job_a_ranks):
+    a_rngs = default_rngs(base + r for r in range(job_a_ranks))
+    for rank, rng in enumerate(a_rngs):
         net.add_open_loop_source(
             OpenLoopSource(rank, int(a_eps[rank]), pat_a, a_eps, load_a,
-                           packets_per_rank, seed=seed * 31 + rank)
+                           packets_per_rank, seed=rng)
         )
     if with_interference:
         pat_b = make_traffic("random", job_b_ranks)
-        for rank in range(job_b_ranks):
+        b_rngs = default_rngs(base + job_a_ranks + r for r in range(job_b_ranks))
+        for rank, rng in enumerate(b_rngs):
             net.add_open_loop_source(
                 OpenLoopSource(rank, int(b_eps[rank]), pat_b, b_eps, load_b,
-                               packets_per_rank, seed=seed * 37 + rank)
+                               packets_per_rank, seed=rng)
             )
     net.run()
     return worst[0]

@@ -678,7 +678,7 @@ class BatchedSimulator:
             self._w_idx = self._w_idx[keep]
             self._w_nxt = self._w_nxt[keep]
             c += 1
-            if c >= _ENQ_MASK:  # pragma: no cover - absurdly long run
+            if c >= _ENQ_MASK:
                 raise SimulationError(
                     "batched run exceeded the cycle budget; use the event "
                     "backend for simulations this long"
@@ -1571,7 +1571,7 @@ class BatchedSimulator:
                 c = max(c + 1, self._arr_heap[0])
             else:
                 break
-            if c >= _ENQ_MASK:  # pragma: no cover - absurdly long run
+            if c >= _ENQ_MASK:
                 raise SimulationError(
                     "batched run exceeded the cycle budget; use the event "
                     "backend for simulations this long"

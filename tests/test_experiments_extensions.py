@@ -4,6 +4,7 @@ import pytest
 
 from repro.experiments import contention, saturation
 from repro.experiments.saturation import find_knee
+from repro.utils.rng import default_rngs
 
 
 class TestFindKnee:
@@ -59,6 +60,24 @@ class TestContentionExperiment:
         for r in result.rows:
             assert r["slowdown"] > 0
             assert r["job_a_ranks"] >= 4
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_jobs_draw_disjoint_streams(self, lps_3_5, monkeypatch, seed):
+        seen = []
+
+        def recording(seeds):
+            seen.append(list(seeds))
+            return default_rngs(seen[-1])
+
+        monkeypatch.setattr(contention, "default_rngs", recording)
+        for with_b in (False, True):
+            contention._run_jobs_tagged(lps_3_5, 2, 32, 64, with_b, "minimal",
+                                        0.3, 0.7, 1, seed)
+        a_alone, a_contended, b = seen
+        # Job A injects the same traffic alone and under contention, and
+        # no interfering source replays one of A's streams.
+        assert a_alone == a_contended
+        assert len(set(a_contended) | set(b)) == 32 + 64
 
     def test_discrepancy_prediction(self, result):
         # The Section II claim: SpectralFly's interference slowdown at or

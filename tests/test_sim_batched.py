@@ -16,7 +16,9 @@ The statistical equivalence with the event engine lives in
 * fault schedules are *supported* (epoch boundaries) but attach at most
   once and only before the run;
 * the engine gathers from the stored next-hop arrays: a batched run,
-  faulted or not, never builds the event engine's list views.
+  faulted or not, never builds the event engine's list views;
+* a run past the 2**20-cycle budget, open- or closed-loop, refuses and
+  points to the event backend.
 """
 
 import numpy as np
@@ -76,6 +78,17 @@ class TestContracts:
         a = _net(parts, "batched", seed=1).run()
         b = _net(parts, "batched", seed=2).run()
         assert a.latencies_ns != b.latencies_ns
+
+    @pytest.mark.parametrize("seed", [3, 2**62])
+    def test_sources_draw_like_default_rng(self, parts, seed):
+        # Per-rank generators come from one bulk pass, but each rank's
+        # stream is default_rng(seed * 1_000_003 + rank), computed in
+        # Python ints (2**62 * 1_000_003 does not fit in 64 bits).
+        net = _net(parts, "batched", n_ranks=8, seed=seed)
+        assert [s.rank for s in net._sources] == list(range(8))
+        for rank, source in enumerate(net._sources):
+            ref = np.random.default_rng(seed * 1_000_003 + rank)
+            np.testing.assert_array_equal(source.rng.random(4), ref.random(4))
 
     def test_stats_lists_stay_lists(self, parts):
         stats = _net(parts, "batched").run()
@@ -220,6 +233,28 @@ class TestUnsupportedFeaturesFailLoudly:
             config=SimConfig(concentration=2, backend="batched"),
         )
         assert isinstance(net, BatchedSimulator)
+
+
+class TestCycleBudget:
+    """Runs longer than the 2**20-cycle budget refuse with a pointer to the
+    event backend instead of wrapping the packed enqueue-cycle field."""
+
+    def test_open_loop_budget(self, parts):
+        # A near-idle load spaces three packets per rank far past the
+        # budget (2**20 cycles of a few hundred ns each).
+        net = _net(parts, "batched", load=1e-6, n_ranks=4, packets_per_rank=3)
+        with pytest.raises(SimulationError, match="cycle budget.*event backend"):
+            net.run()
+
+    def test_closed_loop_budget(self, parts):
+        from repro.workloads.motif import Message
+
+        topo, tables = parts
+        net = BatchedSimulator(topo, make_routing("minimal", tables, seed=0),
+                               SimConfig(concentration=2), tables=tables)
+        chain = [Message(0, 0, 1, 64), Message(1, 1, 2, 64, [0], 1e12)]
+        with pytest.raises(SimulationError, match="cycle budget.*event backend"):
+            net.run_closed_loop(chain, np.arange(4, dtype=np.int64))
 
 
 LIST_VIEWS = {"nh_indptr", "nh_indices", "dist_flat"}
