@@ -65,7 +65,7 @@ def run(
     holds its whole fraction sweep and the normalisation stays inside it.
 
     Both engines run the full sweep: the event engine applies faults
-    per-event on its handler path, the batched engine as epoch boundaries
+    per-event in its one event loop, the batched engine as epoch boundaries
     that rewrite its masked next-hop arrays (``backend="batched"``,
     statistically equivalent — see the faulted rows of the tolerance
     table in docs/performance.md).

@@ -221,9 +221,8 @@ class RoutingPolicy:
     def next_hop_degraded(self, net, router: int, pkt) -> int:
         """``next_hop`` against the simulator's live :class:`FaultMask`.
 
-        Used by the handler path whenever a fault schedule is attached
-        (the inlined fast loop bails out in that case).  Differences from
-        the pristine path, in order:
+        Used by the event loop for every hop whenever a fault schedule is
+        attached.  Differences from the pristine path, in order:
 
         * a dead Valiant intermediate is abandoned — the packet heads
           straight for its destination;

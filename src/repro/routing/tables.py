@@ -419,8 +419,8 @@ class FaultMask:
         ei = self._edge_index
         base = u * self._n
         if self._oracle is None:
-            # The event engine's views (only its handler path calls this;
-            # the batched engine filters the stored arrays itself).
+            # The event engine's views (only its fault-aware hops call
+            # this; the batched engine filters the stored arrays itself).
             tables = self.tables
             indptr = tables.nh_indptr
             k = base + d

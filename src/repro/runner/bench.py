@@ -195,7 +195,8 @@ def run_cell(
 
     ``faults`` optionally attaches a :class:`FaultSchedule` — the faulted
     scenario cell times the full degraded run (epoch boundaries on the
-    batched engine, handler-path forwarding on the event engine).
+    batched engine, fault-aware forwarding on every hop of the event
+    engine).
     """
     from repro.experiments.common import build_synthetic_sim
 

@@ -68,10 +68,10 @@ open-loop path (see ``docs/congestion.md``):
   winner pick — a port's FIFO segment is scanned for the *first entry
   whose downstream input buffer has room* (the batch analogue of the
   event engine's round-robin VC skip), winners transfer their credit
-  hold-until-departure exactly like ``NetworkSimulator._port_done``, and
-  a wedged waiting set with no external work left raises the same
-  structured :class:`~repro.errors.BufferDeadlockError` as the event
-  engine's drain check;
+  hold-until-departure exactly like the port-done branch of
+  ``NetworkSimulator.run``, and a wedged waiting set with no external work
+  left raises the same structured :class:`~repro.errors.BufferDeadlockError`
+  as the event engine's drain check;
 * **lossy/jittery links** (``config.channel``, :mod:`repro.sim.channel`):
   winners crossing a link evaluate the shared counter-hash channel —
   identical loss/retransmit outcomes to the event engine by construction
@@ -600,7 +600,8 @@ class BatchedSimulator:
             if finite:
                 # Ejecting winners leave the network: release the input
                 # buffer each held (hold-until-departure, the batch mirror
-                # of NetworkSimulator._eject_done's _release_buffer).
+                # of the event engine's eject branch calling
+                # _release_buffer).
                 ej_ids = widx[eject]
                 if ej_ids.size:
                     self._ejected[ej_ids] = True
@@ -617,8 +618,8 @@ class BatchedSimulator:
             extra: np.ndarray | None = None
             if ch is not None and moved.size:
                 # Evaluate the lossy crossing at the pre-increment hop
-                # index — exactly where NetworkSimulator._port_done draws
-                # it — so both engines consume identical substreams.
+                # index — exactly where the event engine's port-done branch
+                # draws it — so both engines consume identical substreams.
                 ok, extra, retr = ch.crossings(
                     self._ch_keys[moved], self._hops[moved]
                 )
@@ -694,8 +695,8 @@ class BatchedSimulator:
         """Route a batch of packets arriving at their current router."""
         cur = self._cur[p]
         dstr = self._dst_router[p]
-        # Eject check first, exactly like the event engine's _arrive (a
-        # Valiant packet crossing its destination router ejects early).
+        # Eject check first, exactly like the event engine's arrive branch
+        # (a Valiant packet crossing its destination router ejects early).
         at_dst = cur == dstr
         ej = p[at_dst]
         route = p[~at_dst]
@@ -712,7 +713,7 @@ class BatchedSimulator:
         if not route.size:
             return
         if mask_on:
-            # Mirror the event engine's degraded _arrive order: current
+            # Mirror the event engine's degraded arrive order: current
             # router dead, destination router dead, TTL, then route.
             dead = ~alive[self._cur[route]] | ~alive[self._dst_router[route]]
             if dead.any():
@@ -1128,7 +1129,7 @@ class BatchedSimulator:
         + cable) + the observed queueing in whole cycles.  The switch stage
         is charged only at *uncontested* ports: the event engine schedules
         a queued packet straight off the previous transmission with no
-        switch delay (see ``NetworkSimulator._port_done``), and this engine
+        switch delay (see ``NetworkSimulator._try_start``), and this engine
         mirrors that by folding the switch of contested hops into their
         measured wait.
 

@@ -22,18 +22,22 @@ the hot path.
 Hot-path notes (see ``docs/performance.md``): per-port scalar state
 (``_port_busy``, ``_port_bytes``, ``_port_rr``, ``_nic_busy``, ``_ej_busy``)
 lives in plain Python lists — single-element numpy indexing costs ~3x a
-list read and allocates a numpy scalar per access.  Event dispatch is a
-tuple of bound methods indexed by the event kind, config-derived constants
-(``_ns_per_byte``, ``_switch_ns``, ``_link_ns``) are precomputed once, and
-the directed-edge lookup is one dict read from
-``RoutingTables.edge_index``.  ``_buf_used`` stays a numpy 2-D array: it is
-touched only in ``finite_buffers`` mode, off the default hot path.
+list read and allocates a numpy scalar per access.  One loop in ``run()``
+handles every event kind inline for every configuration; the fault,
+finite-buffer and lossy-channel branches are guarded by locals that are
+``None`` by default.  Config-derived constants (``_ns_per_byte``,
+``_switch_ns``, ``_link_ns``) are precomputed once, and the directed-edge
+lookup is one dict read from ``RoutingTables.edge_index``.  ``_buf_used``
+stays a numpy 2-D array: it is touched only in ``finite_buffers`` mode,
+off the default hot path.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
+import math
+import sys
 from collections import deque
 from dataclasses import dataclass
 from heapq import heappush
@@ -52,7 +56,7 @@ from repro.sim.packet import Packet
 from repro.sim.stats import SimStats
 from repro.topology.base import Topology
 
-# Event kinds (indexes into the handler tuple built in ``__init__``).
+# Event kinds, dispatched inline by ``NetworkSimulator.run``.
 # Events are flat tuples: (time, seq, kind, *payload).
 _NIC_DONE = 0  # (t, seq, 0, ep, pkt): NIC finished serialising into router
 _ARRIVE = 1  # (t, seq, 1, router, pkt, is_source): packet fully at a router
@@ -143,8 +147,8 @@ class NetworkSimulator:
         self._port_busy: list[bool] = [False] * n_dir
         self._port_bytes: list[int] = [0] * n_dir
         self._port_queues: list[list[deque] | None] = [None] * n_dir
-        # Packets waiting in _port_queues[eid] across all VCs; lets
-        # _port_done skip the round-robin VC scan for idle ports.
+        # Packets waiting in _port_queues[eid] across all VCs; lets a
+        # finished transmission skip the round-robin VC scan for idle ports.
         self._port_queued: list[int] = [0] * n_dir
         self._port_rr: list[int] = [0] * n_dir
         # Downstream input-buffer occupancy per (directed edge, VC); only
@@ -191,15 +195,8 @@ class NetworkSimulator:
         self._conc = config.concentration
         self._packet_bytes = config.packet_bytes
         self._edge_index = self.tables.edge_index
-        # Direct method dispatch, indexed by event kind.
-        self._handlers = (
-            self._nic_done,
-            self._arrive,
-            self._port_done,
-            self._eject_done,
-            self._fire_source,
-            self._apply_fault,
-        )
+        # Own bound methods are run() locals, never attributes: each would
+        # be a cycle keeping a finished simulator alive until a GC pass.
 
         # Fault-injection state; all None/0 until a schedule is attached
         # (the pristine hot path never reads any of it).
@@ -220,8 +217,7 @@ class NetworkSimulator:
         event at that timestamp, making multi-link faults atomic with
         respect to traffic.
 
-        Attaching a schedule (even an empty one) switches ``run()`` from
-        the inlined fast loop to the handler path and every hop to
+        Attaching a schedule (even an empty one) switches every hop to
         fault-aware forwarding (``RoutingPolicy.next_hop_degraded``); see
         ``docs/resilience.md`` for the exact drop/requeue semantics.
         """
@@ -306,13 +302,25 @@ class NetworkSimulator:
         ``until`` pauses the simulation after the last event at or before
         that time; the first event past it is left in the queue, so a
         subsequent ``run()`` resumes exactly where the paused run stopped.
+        ``max_events`` raises :class:`~repro.errors.SimulationError` once a
+        run would process more events than that.
 
-        With ``finite_buffers``, a run that drains its events while packets
-        remain undelivered has genuinely *deadlocked* (cyclic buffer
-        dependencies — exactly what Section V-A's VC scheme prevents):
-        a structured :class:`~repro.errors.BufferDeadlockError` is raised,
-        naming one cyclic (edge, VC) wait-for chain and carrying the
-        partial stats (``deadlocked=True``, ``undelivered`` set).
+        One inlined loop runs every configuration (one Python frame per
+        *run*, not per event).  The fault, finite-buffer and lossy-channel
+        branches are each guarded by a local that is ``None`` on the
+        default configuration, and an unset bound is a sentinel that never
+        trips.
+
+        An unbounded run checks itself once its queue is empty: every
+        injected packet was delivered, dropped, or stranded in a port queue,
+        and a drained network holds no buffer credit.  Only
+        ``finite_buffers`` may strand packets, and then the run has
+        genuinely *deadlocked* (cyclic buffer dependencies — exactly what
+        Section V-A's VC scheme prevents): a structured
+        :class:`~repro.errors.BufferDeadlockError` is raised, naming one
+        cyclic (edge, VC) wait-for chain and carrying the partial stats
+        (``deadlocked=True``, ``undelivered`` set).  Any other violation
+        raises :class:`~repro.errors.SimulationError`.
         """
         # Start each source exactly once, even across paused/resumed runs —
         # re-starting would schedule a duplicate injection chain on top of
@@ -320,107 +328,8 @@ class NetworkSimulator:
         for src in self._sources[self._n_sources_started:]:
             src.start(self)
         self._n_sources_started = len(self._sources)
-        events = self._events
-        handlers = self._handlers
-        pop = heapq.heappop
-        n_ev = 0
-        if (
-            until is None
-            and max_events is None
-            and self._buf_used is None
-            and self._fault_schedule is None
-            and self._channel is None
-        ):
-            # Default configuration: the fully inlined hot loop (one Python
-            # frame per *run*, not per event).  tests/test_sim_fastpath.py
-            # pins it event-for-event equal to the handler path below.
-            n_ev = self._run_fast()
-        elif until is None and max_events is None:
-            # Finite buffers, a fault schedule, or a lossy channel: handler
-            # dispatch, no bound checks.  (These need the handler path's
-            # fault-aware/buffer/channel branches; a fault-capable fast
-            # loop has not landed — see docs/performance.md.)
-            while events:
-                item = pop(events)
-                t = item[0]
-                self.now = t
-                handlers[item[2]](item, t)
-                n_ev += 1
-        else:
-            while events:
-                item = pop(events)
-                t = item[0]
-                if until is not None and t > until:
-                    # Not ours to process: re-queue it so a resumed run sees
-                    # it (popping and dropping would silently lose it).
-                    heappush(events, item)
-                    break
-                self.now = t
-                handlers[item[2]](item, t)
-                n_ev += 1
-                if max_events is not None and n_ev > max_events:
-                    raise SimulationError(f"exceeded max_events={max_events}")
-        self.stats.n_events += n_ev
-        if until is None and max_events is None:
-            undelivered = (
-                self.stats.n_injected
-                - len(self.stats.latencies_ns)
-                - self.stats.n_dropped
-            )
-            if undelivered > 0 and self.config.finite_buffers:
-                self.stats.deadlocked = True
-                self.stats.undelivered = undelivered
-                cycle, blocked = self._deadlock_witness()
-                raise BufferDeadlockError.build(
-                    cycle, blocked, undelivered, self.stats
-                )
-        return self.stats
-
-    def _deadlock_witness(self) -> tuple[tuple, int]:
-        """One cyclic (edge, VC) wait-for chain among the blocked packets.
-
-        Each blocked packet holds buffer ``(occupies_edge, occupies_vc)``
-        while waiting for credit in ``(eid, vc)`` — the downstream input
-        buffer of the port it is queued on.  Following those held->wanted
-        arrows yields the deadlock cycle (Dally's channel-dependency
-        argument, operationally).  Every queued packet contributes, not
-        just queue heads: a buffer-less packet fresh from its NIC can sit
-        at the head of a port queue with the chain-forming holders behind
-        it.  Returns ``(cycle, n_blocked)``; the cycle is empty when no
-        clean witness exists (e.g. after mid-run faults perturbed the
-        queues).
-        """
-        waits_for: dict = {}
-        blocked = 0
-        for eid, n_q in enumerate(self._port_queued):
-            if not n_q:
-                continue
-            blocked += n_q
-            qs = self._port_queues[eid]
-            if qs is None:
-                continue
-            for vc, q in enumerate(qs):
-                for pkt, _nxt in q:
-                    if pkt.occupies_edge >= 0:
-                        waits_for[
-                            (pkt.occupies_edge, pkt.occupies_vc)
-                        ] = (eid, vc)
-        return BufferDeadlockError.find_cycle(waits_for), blocked
-
-    # -- internals ----------------------------------------------------------
-    def _run_fast(self) -> int:
-        """Drain the queue with every handler body inlined (hot default).
-
-        Semantically identical to dispatching through ``self._handlers``
-        (the equivalence is pinned by the differential harness in
-        tests/test_sim_fastpath.py) but saves one Python frame per event,
-        which is worth ~10% of total runtime.  Only valid for the default
-        configuration: no ``until``/``max_events`` bound, unbounded
-        buffers (``_buf_used is None``), no fault schedule, and no lossy
-        channel — the finite-buffer, fault-aware, and channel branches of
-        the handlers are omitted here (see docs/performance.md, "When
-        _run_fast is bypassed").
-        """
+        t_stop = math.inf if until is None else until
+        ev_cap = sys.maxsize if max_events is None else max_events
         events = self._events
         pop = heapq.heappop
         push = heappush
@@ -430,7 +339,6 @@ class NetworkSimulator:
         port_busy = self._port_busy
         port_queues = self._port_queues
         port_queued = self._port_queued
-        port_rr = self._port_rr
         nic_busy = self._nic_busy
         nic_queues = self._nic_queues
         ej_busy = self._ej_busy
@@ -439,6 +347,7 @@ class NetworkSimulator:
         routing = self.routing
         next_hop = routing.next_hop
         on_source = routing.on_source
+        try_start = self._try_start
         n_routers = self.n_routers
         n_vcs = self.n_vcs
         ns_per_byte = self._ns_per_byte
@@ -447,17 +356,33 @@ class NetworkSimulator:
         conc = self._conc
         latencies = stats.latencies_ns
         hop_counts = stats.hops
+        # Off the default path; each is None on the default configuration.
+        mask = self._fault_mask
+        kills = self._port_kill
+        ttl = self._ttl
+        buf_used = self._buf_used
+        ch = self._channel
         n_ev = 0
         while events:
             item = pop(events)
             t = item[0]
+            if t > t_stop:
+                # Not ours to process: re-queue it so a resumed run sees it
+                # (popping and dropping would silently lose it).
+                push(events, item)
+                break
+            n_ev += 1
+            if n_ev > ev_cap:
+                raise SimulationError(f"exceeded max_events={max_events}")
             self.now = t
             kind = item[2]
-            n_ev += 1
             if kind == 1:  # _ARRIVE
                 router = item[3]
                 pkt = item[4]
                 if router == pkt.dst_router:
+                    if mask is not None and not mask.router_alive(router):
+                        self._drop(pkt, t, "router-down")
+                        continue
                     ep = pkt.dst_ep
                     if ej_busy[ep]:
                         ej_queues[ep].append(pkt)
@@ -467,13 +392,30 @@ class NetworkSimulator:
                              (t + switch_ns + pkt.size * ns_per_byte,
                               next(seq), 3, ep, pkt))
                     continue
+                if mask is not None:
+                    # Fault-aware forwarding: the router died while the
+                    # packet was on the cable, its destination is dead, or
+                    # the packet has wandered past the hop budget.
+                    if not (mask.router_alive(router)
+                            and mask.router_alive(pkt.dst_router)):
+                        self._drop(pkt, t, "router-down")
+                        continue
+                    if pkt.hops >= ttl:
+                        self._drop(pkt, t, "ttl")
+                        continue
                 if item[5]:  # is_source
                     on_source(self, router, pkt)
                     if pkt.intermediate is not None:
                         stats.valiant_choices += 1
                     else:
                         stats.minimal_choices += 1
-                nxt = next_hop(self, router, pkt)
+                if mask is None:
+                    nxt = next_hop(self, router, pkt)
+                else:
+                    nxt = routing.next_hop_degraded(self, router, pkt)
+                    if nxt < 0:
+                        self._drop(pkt, t, "unreachable")
+                        continue
                 eid = edge_index[router * n_routers + nxt]
                 vc = pkt.hops
                 if vc >= n_vcs:
@@ -483,7 +425,7 @@ class NetworkSimulator:
                 port_bytes[eid] = queued
                 if queued > stats.max_queue_bytes:
                     stats.max_queue_bytes = queued
-                if port_busy[eid]:
+                if port_busy[eid] or buf_used is not None:
                     qs = port_queues[eid]
                     if qs is None:
                         qs = port_queues[eid] = [
@@ -491,6 +433,9 @@ class NetworkSimulator:
                         ]
                     qs[vc].append((pkt, nxt))
                     port_queued[eid] += 1
+                    if not port_busy[eid]:
+                        # Finite buffers: start only on a VC with credit.
+                        try_start(eid, t + switch_ns)
                 else:
                     port_busy[eid] = True
                     push(events,
@@ -500,33 +445,51 @@ class NetworkSimulator:
                 eid = item[3]
                 pkt = item[4]
                 port_bytes[eid] -= pkt.size
+                if kills is not None and kills[eid]:
+                    # The link died under this packet mid-transmission (its
+                    # queue was flushed at the fault event; this lazy token
+                    # is how the already-scheduled completion learns of it).
+                    kills[eid] -= 1
+                    self._lose_on_link(eid, item[6], pkt, t, "link-down")
+                    continue
+                t_next = t + link_ns
+                if ch is not None:
+                    # Lossy/jittery crossing: one channel evaluation per
+                    # router-to-router link traversal, keyed on (packet,
+                    # hop) so the batched engine reaches the same outcome.
+                    ok, extra_ns, retrans = ch.crossing(pkt.ch_key, pkt.hops)
+                    stats.n_retransmits += retrans
+                    if not ok:
+                        self._lose_on_link(eid, item[6], pkt, t,
+                                           ch.config.drop_cause)
+                        continue
+                    t_next += extra_ns
                 pkt.hops += 1
-                push(events, (t + link_ns, next(seq), 1, item[5], pkt,
-                              False))
+                if buf_used is not None:
+                    # The packet has fully left the previous router: release
+                    # the input buffer it held there and occupy the one it
+                    # just filled.
+                    self._release_buffer(pkt, t)
+                    pkt.occupies_edge = eid
+                    pkt.occupies_vc = item[6]
+                push(events, (t_next, next(seq), 1, item[5], pkt, False))
+                port_busy[eid] = False
                 if port_queued[eid]:
-                    # RR over VCs, no buffer checks (unbounded mode).
-                    qs = port_queues[eid]
-                    start = port_rr[eid]
-                    for off in range(1, n_vcs + 1):
-                        vc = (start + off) % n_vcs
-                        q = qs[vc]
-                        if q:
-                            head_pkt, head_next = q.popleft()
-                            port_queued[eid] -= 1
-                            port_rr[eid] = vc
-                            push(events,
-                                 (t + head_pkt.size * ns_per_byte,
-                                  next(seq), 2, eid, head_pkt, head_next,
-                                  vc))
-                            break
-                else:
-                    port_busy[eid] = False
+                    try_start(eid, t)
             elif kind == 4:  # _INJECT
                 item[3].fire(self, t)
             elif kind == 0:  # _NIC_DONE
                 ep = item[3]
-                push(events, (t + link_ns, next(seq), 1, ep // conc,
-                              item[4], True))
+                if mask is not None and not mask.router_alive(ep // conc):
+                    # Injection router is down: the packet is lost entering
+                    # it.  The NIC keeps (blindly) serialising its queue —
+                    # packets injected while the router stays down are
+                    # dropped one by one, and queued ones survive a
+                    # recovery that beats them out.
+                    self._drop(item[4], t, "router-down")
+                else:
+                    push(events, (t + link_ns, next(seq), 1, ep // conc,
+                                  item[4], True))
                 q = nic_queues[ep]
                 if q:
                     nxt_pkt = q.popleft()
@@ -537,14 +500,20 @@ class NetworkSimulator:
             elif kind == 3:  # _EJECT_DONE
                 ep = item[3]
                 pkt = item[4]
-                t_deliver = t + link_ns
-                latencies.append(t_deliver - pkt.t_created)
-                hop_counts.append(pkt.hops)
-                stats.bytes_delivered += pkt.size
-                if t_deliver > stats.t_last_delivery:
-                    stats.t_last_delivery = t_deliver
-                if self.on_delivery is not None:
-                    self.on_delivery(pkt, t_deliver)
+                if buf_used is not None:
+                    self._release_buffer(pkt, t)
+                if mask is not None and not mask.router_alive(ep // conc):
+                    # Router died while the packet crossed the ejection port.
+                    stats.record_drop("router-down")
+                else:
+                    t_deliver = t + link_ns
+                    latencies.append(t_deliver - pkt.t_created)
+                    hop_counts.append(pkt.hops)
+                    stats.bytes_delivered += pkt.size
+                    if t_deliver > stats.t_last_delivery:
+                        stats.t_last_delivery = t_deliver
+                    if self.on_delivery is not None:
+                        self.on_delivery(pkt, t_deliver)
                 q = ej_queues[ep]
                 if q:
                     nxt_pkt = q.popleft()
@@ -552,120 +521,64 @@ class NetworkSimulator:
                                   next(seq), 3, ep, nxt_pkt))
                 else:
                     ej_busy[ep] = False
-            else:  # pragma: no cover - defensive
-                raise SimulationError(f"unknown event kind {kind}")
-        return n_ev
+            else:  # _FAULT
+                self._apply_fault(item[3], t)
+        stats.n_events += n_ev
+        if until is None and max_events is None:
+            self._check_drained()
+        return stats
 
-    # Every handler takes (item, t): the full event tuple plus its time.
-    def _fire_source(self, item, t: float) -> None:
-        item[3].fire(self, t)
-
-    def _nic_done(self, item, t: float) -> None:
-        ep = item[3]
-        events = self._events
-        mask = self._fault_mask
-        if mask is not None and not mask.router_alive(ep // self._conc):
-            # Injection router is down: the packet is lost entering it.
-            # The NIC keeps (blindly) serialising its queue — packets
-            # injected while the router stays down are dropped one by one,
-            # and queued ones survive a recovery that beats them out.
-            self._drop(item[4], t, "router-down")
-        else:
-            # Packet reaches its injection router after the cable delay.
-            heappush(events, (t + self._link_ns, next(self._seq), _ARRIVE,
-                              ep // self._conc, item[4], True))
-        q = self._nic_queues[ep]
-        if q:
-            nxt = q.popleft()
-            heappush(events, (t + nxt.size * self._ns_per_byte,
-                              next(self._seq), _NIC_DONE, ep, nxt))
-        else:
-            self._nic_busy[ep] = False
-
-    def _arrive(self, item, t: float) -> None:
-        router = item[3]
-        pkt = item[4]
-        mask = self._fault_mask
-        if router == pkt.dst_router:
-            if mask is not None and not mask.router_alive(router):
-                self._drop(pkt, t, "router-down")
-                return
-            # -- ejection port (inlined _eject) ----------------------------
-            ep = pkt.dst_ep
-            if self._ej_busy[ep]:
-                self._ej_queues[ep].append(pkt)
-            else:
-                self._ej_busy[ep] = True
-                heappush(self._events,
-                         (t + self._switch_ns + pkt.size * self._ns_per_byte,
-                          next(self._seq), _EJECT_DONE, ep, pkt))
-            return
-        routing = self.routing
-        if mask is not None:
-            # Fault-aware forwarding (handler path only; _run_fast bails
-            # out whenever a fault schedule is attached).
-            if not mask.router_alive(router):
-                # Already on the cable when the router died.
-                self._drop(pkt, t, "router-down")
-                return
-            if not mask.router_alive(pkt.dst_router):
-                self._drop(pkt, t, "router-down")
-                return
-            if pkt.hops >= self._ttl:
-                self._drop(pkt, t, "ttl")
-                return
-            if item[5]:  # is_source
-                routing.on_source(self, router, pkt)
-                if pkt.intermediate is not None:
-                    self.stats.valiant_choices += 1
-                else:
-                    self.stats.minimal_choices += 1
-            nxt = routing.next_hop_degraded(self, router, pkt)
-            if nxt < 0:
-                self._drop(pkt, t, "unreachable")
-                return
-        else:
-            if item[5]:  # is_source
-                routing.on_source(self, router, pkt)
-                if pkt.intermediate is not None:
-                    self.stats.valiant_choices += 1
-                else:
-                    self.stats.minimal_choices += 1
-            nxt = routing.next_hop(self, router, pkt)
-        eid = self._edge_index[router * self.n_routers + nxt]
-        vc = pkt.hops
-        n_vcs = self.n_vcs
-        if vc >= n_vcs:
-            vc = n_vcs - 1
-        # -- enqueue on the output port (inlined: hottest branch) ----------
-        size = pkt.size
-        port_bytes = self._port_bytes
-        queued = port_bytes[eid] + size
-        port_bytes[eid] = queued
+    def _check_drained(self) -> None:
+        """Conservation check at the end of an unbounded run (see ``run``)."""
         stats = self.stats
-        if queued > stats.max_queue_bytes:
-            stats.max_queue_bytes = queued
-        t_ready = t + self._switch_ns
-        if not self._port_busy[eid] and self._buf_used is None:
-            # Fast path: idle port, unbounded buffers.
-            self._port_busy[eid] = True
-            heappush(self._events,
-                     (t_ready + size * self._ns_per_byte, next(self._seq),
-                      _PORT_DONE, eid, pkt, nxt, vc))
-            return
-        qs = self._port_queues[eid]
-        if qs is None:
-            qs = self._port_queues[eid] = [deque() for _ in range(n_vcs)]
-        qs[vc].append((pkt, nxt))
-        self._port_queued[eid] += 1
-        if not self._port_busy[eid]:
-            self._try_start(eid, t_ready)
+        stranded = sum(self._port_queued)
+        delivered = len(stats.latencies_ns)
+        buf_used = self._buf_used
+        credit = 0 if buf_used is None else int(np.abs(buf_used).sum())
+        if (
+            stats.n_injected != delivered + stats.n_dropped + stranded
+            or (stranded and buf_used is None)
+            or (credit and not stranded)
+        ):
+            raise SimulationError(
+                f"event run ended inconsistent: {stats.n_injected} injected, "
+                f"{delivered} delivered, {stats.n_dropped} dropped, "
+                f"{stranded} stranded in port queues, {credit} B of buffer "
+                "credit not returned"
+            )
+        if stranded:
+            stats.deadlocked = True
+            stats.undelivered = stranded
+            raise BufferDeadlockError.build(
+                self._deadlock_witness(), stranded, stranded, stats
+            )
 
-    def _buffer_has_room(self, eid: int, vc: int, size: int) -> bool:
-        used = int(self._buf_used[eid, vc])
-        # A buffer always admits at least one packet, even an oversized one.
-        return used == 0 or used + size <= self.config.buffer_bytes
+    def _deadlock_witness(self) -> tuple:
+        """One cyclic (edge, VC) wait-for chain among the blocked packets.
 
+        Each blocked packet holds buffer ``(occupies_edge, occupies_vc)``
+        while waiting for credit in ``(eid, vc)`` — the downstream input
+        buffer of the port it is queued on.  Following those held->wanted
+        arrows yields the deadlock cycle (Dally's channel-dependency
+        argument, operationally).  Every queued packet contributes, not
+        just queue heads: a buffer-less packet fresh from its NIC can sit
+        at the head of a port queue with the chain-forming holders behind
+        it.  The cycle is empty when no clean witness exists (e.g. after
+        mid-run faults perturbed the queues).
+        """
+        waits_for: dict = {}
+        for eid, n_q in enumerate(self._port_queued):
+            if not n_q:
+                continue
+            for vc, q in enumerate(self._port_queues[eid]):
+                for pkt, _nxt in q:
+                    if pkt.occupies_edge >= 0:
+                        waits_for[
+                            (pkt.occupies_edge, pkt.occupies_vc)
+                        ] = (eid, vc)
+        return BufferDeadlockError.find_cycle(waits_for)
+
+    # -- internals ----------------------------------------------------------
     def _try_start(self, eid: int, t: float) -> None:
         """Start the next transmittable packet on an idle port (RR over VCs).
 
@@ -687,16 +600,17 @@ class NetworkSimulator:
             if not q:
                 continue
             head_pkt, head_next = q[0]
-            if buf_used is not None and not self._buffer_has_room(
-                eid, vc, head_pkt.size
-            ):
-                continue
+            if buf_used is not None:
+                used = int(buf_used[eid, vc])
+                # A buffer always admits at least one packet, even an
+                # oversized one.
+                if used and used + head_pkt.size > self.config.buffer_bytes:
+                    continue
+                buf_used[eid, vc] = used + head_pkt.size
             q.popleft()
             self._port_queued[eid] -= 1
             self._port_rr[eid] = vc
             self._port_busy[eid] = True
-            if buf_used is not None:
-                buf_used[eid, vc] += head_pkt.size
             heappush(self._events,
                      (t + head_pkt.size * self._ns_per_byte,
                       next(self._seq), _PORT_DONE, eid, head_pkt, head_next,
@@ -711,85 +625,20 @@ class NetworkSimulator:
         self._try_start(pkt.occupies_edge, t)
         pkt.occupies_edge = -1
 
-    def _port_done(self, item, t: float) -> None:
-        eid = item[3]
-        pkt = item[4]
-        self._port_bytes[eid] -= pkt.size
-        kills = self._port_kill
-        if kills is not None and kills[eid]:
-            # The link died under this packet mid-transmission (its queue
-            # was flushed at the fault event; this lazy token is how the
-            # already-scheduled completion learns about it).
-            kills[eid] -= 1
-            self._port_busy[eid] = False
-            self._drop(pkt, t, "link-down")
-            if self._port_queued[eid]:
-                # Only possible if the link recovered before the doomed
-                # transmission finished and traffic queued behind it.
-                self._try_start(eid, t)
-            return
-        ch = self._channel
-        extra_ns = 0.0
-        if ch is not None:
-            # Lossy/jittery crossing: one channel evaluation per
-            # router-to-router link traversal, keyed on (packet, hop) so
-            # the batched engine reaches the identical outcome.
-            ok, extra_ns, retrans = ch.crossing(pkt.ch_key, pkt.hops)
-            if retrans:
-                self.stats.n_retransmits += retrans
-            if not ok:
-                self._port_busy[eid] = False
-                if self._buf_used is not None:
-                    # Release both the buffer held at the previous router
-                    # and the downstream reservation taken at transmission
-                    # start (never transferred to the packet).
-                    self._release_buffer(pkt, t)
-                    self._buf_used[eid, item[6]] -= pkt.size
-                self._drop(pkt, t, ch.config.drop_cause)
-                if self._port_queued[eid]:
-                    self._try_start(eid, t)
-                return
-        pkt.hops += 1
-        # The packet has fully left the previous router: release the input
-        # buffer it was holding there and occupy the one it just filled.
-        if self._buf_used is not None:
-            self._release_buffer(pkt, t)
-            pkt.occupies_edge = eid
-            pkt.occupies_vc = item[6]
-        heappush(self._events,
-                 (t + self._link_ns + extra_ns, next(self._seq), _ARRIVE,
-                  item[5], pkt, False))
+    def _lose_on_link(self, eid: int, vc: int, pkt: Packet, t: float,
+                      reason: str) -> None:
+        """Drop a packet lost crossing link ``eid`` and free the port.
+
+        Besides the input buffer the packet held upstream, this returns the
+        downstream reservation ``(eid, vc)`` taken when its transmission
+        started (never transferred to the packet).
+        """
         self._port_busy[eid] = False
+        if self._buf_used is not None:
+            self._buf_used[eid, vc] -= pkt.size
+        self._drop(pkt, t, reason)
         if self._port_queued[eid]:
             self._try_start(eid, t)
-
-    def _eject_done(self, item, t: float) -> None:
-        ep = item[3]
-        pkt = item[4]
-        if self._buf_used is not None:
-            self._release_buffer(pkt, t)
-        mask = self._fault_mask
-        if mask is not None and not mask.router_alive(ep // self._conc):
-            # Router died while the packet was crossing the ejection port.
-            self.stats.record_drop("router-down")
-        else:
-            t_deliver = t + self._link_ns
-            stats = self.stats
-            stats.latencies_ns.append(t_deliver - pkt.t_created)
-            stats.hops.append(pkt.hops)
-            stats.bytes_delivered += pkt.size
-            if t_deliver > stats.t_last_delivery:
-                stats.t_last_delivery = t_deliver
-            if self.on_delivery is not None:
-                self.on_delivery(pkt, t_deliver)
-        q = self._ej_queues[ep]
-        if q:
-            nxt = q.popleft()
-            heappush(self._events,
-                     (t + nxt.size * self._ns_per_byte, next(self._seq),
-                      _EJECT_DONE, ep, nxt))
-        else:
-            self._ej_busy[ep] = False
 
     # -- fault application ---------------------------------------------------
     def _drop(self, pkt: Packet, t: float, reason: str) -> None:
@@ -831,9 +680,9 @@ class NetworkSimulator:
                     self._drop(pkt, t, "router-down")
         self._port_queued[eid] = 0
 
-    def _apply_fault(self, item, t: float) -> None:
-        """Handler for ``_FAULT`` events: mutate the mask, fix up the ports."""
-        ev = self._fault_schedule[item[3]]
+    def _apply_fault(self, idx: int, t: float) -> None:
+        """Apply fault-schedule event ``idx``: mutate the mask, fix the ports."""
+        ev = self._fault_schedule[idx]
         mask = self._fault_mask
         kind = ev.kind
         if kind == "link-down":

@@ -48,9 +48,8 @@ class SimStats:
     epochs: list = field(default_factory=list)
 
     # Delivery accounting (latencies_ns/hops appends, bytes_delivered,
-    # t_last_delivery) is inlined at the simulator's two eject sites —
-    # NetworkSimulator._eject_done and the _run_fast eject branch — which
-    # must be kept in sync with each other (a test pins their equivalence).
+    # t_last_delivery) is inlined in the eject branch of
+    # NetworkSimulator.run's event loop.
 
     def record_drop(self, reason: str) -> None:
         """Count one packet lost to a fault, keyed by cause."""

@@ -101,7 +101,11 @@ def run_motif(
     roots = [m for m in messages if not m.deps]
     for m in roots:
         inject(m, t0)
-    stats = net.run()
+    try:
+        stats = net.run()
+    finally:
+        # The callback reaches ``net`` through ``inject``: break the cycle.
+        net.on_delivery = None
     if delivered_count != len(messages):
         raise RuntimeError(
             f"motif deadlocked: {delivered_count}/{len(messages)} delivered "

@@ -10,7 +10,7 @@ VC the ring wedges solid.
 import numpy as np
 import pytest
 
-from repro.errors import BufferDeadlockError
+from repro.errors import BufferDeadlockError, SimulationError
 from repro.graphs.generators import cycle_graph
 from repro.routing import RoutingTables, make_routing
 from repro.routing.algorithms import RoutingPolicy
@@ -126,6 +126,25 @@ class TestFiniteBufferCorrectness:
         net.run()
         assert net._buf_used is not None
         assert net._buf_used.sum() == 0
+
+    def test_unreturned_credit_raises(self, env, monkeypatch):
+        # 64 KB buffers never fill at this load, so a release that never
+        # happens leaves no deadlock — only credit the run end must catch.
+        topo, tables = env
+        cfg = SimConfig(concentration=2, finite_buffers=True)
+        net = NetworkSimulator(topo, make_routing("minimal", tables), cfg,
+                               tables=tables)
+        rng = np.random.default_rng(1)
+        for _ in range(300):
+            s, d = rng.integers(0, net.n_endpoints, 2)
+            if s != d:
+                net.send(int(s), int(d))
+        monkeypatch.setattr(NetworkSimulator, "_release_buffer",
+                            lambda self, pkt, t: None)
+        with pytest.raises(SimulationError,
+                           match=r", [1-9]\d* B of buffer credit") as exc:
+            net.run()
+        assert not isinstance(exc.value, BufferDeadlockError)
 
     def test_backpressure_slows_not_breaks(self, env):
         # Finite buffers may delay deliveries but all packets arrive, and

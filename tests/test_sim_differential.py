@@ -290,7 +290,7 @@ class TestMotifDifferential:
 
 
 # ---------------------------------------------------------------------------
-# Mid-run fault schedules: event handler path vs batched epoch boundaries
+# Mid-run fault schedules: per-event faults vs batched epoch boundaries
 # ---------------------------------------------------------------------------
 #: Per-scenario fault tolerances (same table in docs/performance.md):
 #: delivered fraction is compared absolutely (a drop is a discrete event —

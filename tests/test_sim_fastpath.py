@@ -1,20 +1,23 @@
-"""Simulator fast-path guarantees: determinism, resume, loop equivalence.
+"""Simulator fast-path guarantees: determinism, resume, allocation.
 
 Properties the perf work must never regress:
 
 * fixed seed => byte-identical :class:`SimStats` across fresh runs, for
   every routing policy;
 * ``run(until=...)`` then ``run()`` == one uninterrupted ``run()`` (the
-  paused run must not lose the event it popped past ``until``);
-* the inlined hot loop (``_run_fast``) and the handler-dispatch loop
-  produce identical results — pinned by a *differential harness* that
-  samples ~30 random configurations across topology family × routing
-  policy × VC budget × traffic shape × seed, plus fixed regression cases
-  (every new event-loop feature must keep the two paths event-for-event
-  equal over the whole sampled space, not one hand-picked cell);
+  paused run must not lose the event it popped past ``until``) — pinned by
+  a *differential harness* that samples ~30 random configurations across
+  topology family × routing policy × VC budget × traffic shape × seed,
+  plus fixed regression cases (every new event-loop feature must keep the
+  paused and the uninterrupted run event-for-event equal over the whole
+  sampled space, not one hand-picked cell);
 * the hot-path data structures stay allocation-lean (no ``Packet.__dict__``,
-  plain-tuple events).
+  plain-tuple events), and a finished simulator is freed by reference
+  counting alone.
 """
+
+import gc
+import weakref
 
 import numpy as np
 import pytest
@@ -84,18 +87,6 @@ class TestDeterminism:
 
 
 class TestRunUntilResume:
-    @pytest.mark.parametrize("routing", ["minimal", "ugal"])
-    def test_pause_and_drain_matches_uninterrupted(self, parts, routing):
-        topo, tables = parts
-        reference = _loaded_net(topo, tables, routing).run()
-        paused = _loaded_net(topo, tables, routing)
-        # Pause mid-simulation: several events remain past the cut.
-        t_cut = reference.t_last_delivery / 2.0
-        paused.run(until=t_cut)
-        assert len(paused.stats.latencies_ns) < len(reference.latencies_ns)
-        paused.run()  # drain the rest
-        assert _stats_tuple(paused.stats) == _stats_tuple(reference)
-
     def test_pause_resume_with_open_loop_sources(self, parts):
         # Regression: run() must not re-start() already-started sources on
         # resume (that would schedule a duplicate injection chain).
@@ -138,14 +129,15 @@ class TestRunUntilResume:
 
 
 # ---------------------------------------------------------------------------
-# Differential harness: the inlined hot loop vs. the handler-dispatch loop.
+# Differential harness: one uninterrupted run vs. the same run paused
+# halfway with run(until=...) and resumed.
 #
-# run() uses _run_fast; run(until=inf) dispatches through the handler
-# tuple.  The two implementations must stay event-for-event identical as
-# the event loop grows features, so instead of one hand-picked cell we
-# sample the configuration space (topology family x routing policy x VC
-# budget x concentration x traffic shape x seed) from a fixed generator
-# seed and assert equality on every per-packet observable for each sample.
+# The pause exercises the one event loop's until branch, which must re-queue
+# the first event past the bound and leave every counter resumable.  Instead
+# of one hand-picked cell we sample the configuration space (topology family
+# x routing policy x VC budget x concentration x traffic shape x seed) from
+# a fixed generator seed and assert equality on every per-packet observable
+# for each sample.
 
 _FAMILIES = {
     "lps": lambda: build_lps(3, 5),  # 120 routers, radix 4
@@ -157,7 +149,7 @@ _POW2_PATTERNS = ("shuffle", "reverse", "transpose")
 
 
 def _sample_diff_configs(n=30, seed=20240731):
-    """Deterministically sample ``n`` fast-vs-handler configurations."""
+    """Deterministically sample ``n`` pause-vs-uninterrupted configurations."""
     rng = np.random.default_rng(seed)
     families = sorted(_FAMILIES)
     configs = []
@@ -189,8 +181,9 @@ def _sample_diff_configs(n=30, seed=20240731):
     return configs
 
 
-# Fixed regression cases: the original hand-picked cell plus corner VC/
-# concentration settings that once had dedicated code paths.
+# Fixed regression cases: the original hand-picked LPS cell under every
+# policy plus corner VC/concentration settings that once had dedicated code
+# paths.
 _FIXED_CASES = [
     {"family": "lps", "routing": r, "vc_cap": 0, "concentration": 2,
      "traffic": "sends", "n_msgs": 250, "size": 4096, "seed": 0}
@@ -260,11 +253,16 @@ class TestDifferentialHarness:
         "cfg", _FIXED_CASES + _sample_diff_configs(30),
         ids=_config_id,
     )
-    def test_fast_loop_matches_handler_loop(self, family_parts, cfg):
-        fast = _build_diff_net(family_parts, cfg).run()
-        general = _build_diff_net(family_parts, cfg).run(until=float("inf"))
-        assert len(fast.latencies_ns) > 0, "degenerate sample: nothing ran"
-        assert _stats_tuple(fast) == _stats_tuple(general)
+    def test_pause_and_resume_matches_uninterrupted(self, family_parts, cfg):
+        reference = _build_diff_net(family_parts, cfg).run()
+        assert len(reference.latencies_ns) > 0, "degenerate sample: nothing ran"
+        paused = _build_diff_net(family_parts, cfg)
+        paused.run(until=reference.t_last_delivery / 2.0)
+        # The pause must split the run: events on both sides of the cut.
+        assert paused.stats.n_events > 0 and paused._events
+        assert len(paused.stats.latencies_ns) < len(reference.latencies_ns)
+        paused.run()  # drain the rest
+        assert _stats_tuple(paused.stats) == _stats_tuple(reference)
 
     def test_sampler_is_stable(self):
         # The sampled space must not drift run-to-run (that would make a
@@ -332,3 +330,52 @@ class TestAllocationLean:
         for attr in ("_port_busy", "_port_bytes", "_port_rr", "_port_queued",
                      "_nic_busy", "_ej_busy"):
             assert type(getattr(net, attr)) is list, attr
+
+
+class TestFreedWithoutCyclicGC:
+    """A finished event simulator holds no reference cycle through itself.
+
+    Each cycle would keep every finished run (its queues, tables views and
+    stats) alive until the cyclic GC happens to run, inflating peak memory
+    across a sweep of simulations.
+    """
+
+    @pytest.fixture
+    def no_gc(self):
+        gc.collect()
+        gc.disable()
+        yield
+        gc.enable()
+
+    def test_synthetic_sim_freed_on_last_reference(self, parts, no_gc):
+        from repro.experiments.common import build_synthetic_sim
+
+        topo, _tables = parts
+        net = build_synthetic_sim(topo, "ugal", "random", 0.5,
+                                  concentration=2, n_ranks=32,
+                                  packets_per_rank=4, backend="event")
+        net.run()
+        ref = weakref.ref(net)
+        del net
+        assert ref() is None
+
+    def test_motif_sim_freed_on_last_reference(self, parts, no_gc,
+                                               monkeypatch):
+        import repro.workloads.runner as runner
+        from repro.workloads import Sweep3DMotif
+
+        topo, tables = parts
+        refs = []
+        build = runner.NetworkSimulator
+
+        def tracked(*args, **kwargs):
+            net = build(*args, **kwargs)
+            refs.append(weakref.ref(net))
+            return net
+
+        monkeypatch.setattr(runner, "NetworkSimulator", tracked)
+        out = runner.run_motif(topo, make_routing("minimal", tables, seed=0),
+                               Sweep3DMotif((4, 4), sweeps=1),
+                               SimConfig(concentration=2))
+        assert out["n_messages"] > 0
+        assert len(refs) == 1 and refs[0]() is None

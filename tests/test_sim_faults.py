@@ -2,8 +2,8 @@
 
 Covers the contract in docs/resilience.md: mid-run link/router failures
 reroute or drop in-flight traffic, recovery heals the mask exactly,
-accounting conserves packets, runs stay deterministic per seed, and the
-inlined fast loop bails out whenever a schedule is attached.
+accounting conserves packets (checked by every unbounded ``run()``), runs
+stay deterministic per seed, and finite buffers get every credit back.
 """
 
 import numpy as np
@@ -11,7 +11,13 @@ import pytest
 
 from repro.errors import ParameterError, SimulationError
 from repro.routing import RoutingTables, make_routing
-from repro.sim import FaultEvent, FaultSchedule, NetworkSimulator, SimConfig
+from repro.sim import (
+    FaultEvent,
+    FaultSchedule,
+    NetworkSimulator,
+    SimConfig,
+    SimStats,
+)
 from repro.sim.faults import LINK_DOWN, LINK_UP, ROUTER_DOWN
 from repro.topology import build_lps
 
@@ -219,29 +225,7 @@ class TestFaultInjection:
         assert stats.n_dropped == 0
 
 
-class TestFastPathBailout:
-    def test_run_fast_bypassed_with_schedule(self, parts, monkeypatch):
-        topo, tables = parts
-        net = _loaded_net(topo, tables, faults=FaultSchedule())
-        monkeypatch.setattr(
-            NetworkSimulator, "_run_fast",
-            lambda self: (_ for _ in ()).throw(AssertionError("fast loop ran")),
-        )
-        stats = net.run()  # must take the handler path
-        assert _conserved(stats)
-
-    def test_run_fast_used_without_schedule(self, parts, monkeypatch):
-        topo, tables = parts
-        net = _loaded_net(topo, tables)
-        called = []
-        orig = NetworkSimulator._run_fast
-        monkeypatch.setattr(
-            NetworkSimulator, "_run_fast",
-            lambda self: called.append(1) or orig(self),
-        )
-        net.run()
-        assert called
-
+class TestScheduleAttachment:
     def test_schedule_must_attach_before_traffic(self, parts):
         topo, tables = parts
         net = _loaded_net(topo, tables)  # already has queued sends
@@ -293,22 +277,57 @@ class TestEpochStats:
 
 
 class TestFiniteBuffersWithFaults:
-    def test_conservation_with_finite_buffers(self, parts):
-        # Drops must release held buffers; otherwise the run deadlocks on
-        # buffer space that dead packets still occupy.
+    @pytest.mark.parametrize(
+        "flap",
+        [
+            # 64 KB buffers, 300 sends at t=0, links stay down.
+            False,
+            # 1-packet buffers, 600 sends over 20 us, links recover at 6 us:
+            # one leaked credit would block its buffer for good.
+            True,
+        ],
+        ids=["down", "flap-1pkt"],
+    )
+    def test_conservation_with_finite_buffers(self, parts, flap):
+        # Drops must release held buffers, and a packet killed mid-link
+        # must return the downstream credit its transmission reserved;
+        # otherwise the run deadlocks on buffer space nobody holds.
         topo, tables = parts
-        sched = FaultSchedule.random_link_faults(topo.graph, 0.15, 2000.0,
-                                                 seed=4)
+        if flap:
+            sched = FaultSchedule.random_link_faults(
+                topo.graph, 0.15, 2000.0, seed=1, t_recover=6000.0
+            )
+            cfg = SimConfig(concentration=2, finite_buffers=True,
+                            buffer_bytes=4096)
+        else:
+            sched = FaultSchedule.random_link_faults(topo.graph, 0.15,
+                                                     2000.0, seed=4)
+            cfg = SimConfig(concentration=2, finite_buffers=True)
         net = NetworkSimulator(
-            topo, make_routing("minimal", tables, seed=0),
-            SimConfig(concentration=2, finite_buffers=True),
+            topo, make_routing("minimal", tables, seed=0), cfg,
             tables=tables, faults=sched,
         )
         rng = np.random.default_rng(99)
-        for _ in range(300):
+        for _ in range(600 if flap else 300):
             s, d = rng.integers(0, net.n_endpoints, 2)
+            t = float(rng.uniform(0.0, 20_000.0)) if flap else None
             if s != d:
-                net.send(int(s), int(d))
+                net.send(int(s), int(d), t=t)
         stats = net.run()
         assert not stats.deadlocked
         assert _conserved(stats)
+        assert stats.drops.get("link-down", 0) > 0
+        assert int(net._buf_used.sum()) == 0
+
+
+class TestRunEndCheck:
+    def test_lost_drop_count_raises(self, parts, monkeypatch):
+        # A drop that is never counted breaks conservation; the run must
+        # say so instead of returning stats that silently lose packets.
+        topo, tables = parts
+        sched = FaultSchedule.random_link_faults(topo.graph, 0.2, 2000.0,
+                                                 seed=3)
+        net = _loaded_net(topo, tables, faults=sched)
+        monkeypatch.setattr(SimStats, "record_drop", lambda self, reason: None)
+        with pytest.raises(SimulationError, match="ended inconsistent"):
+            net.run()
