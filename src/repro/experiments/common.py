@@ -141,33 +141,21 @@ def build_synthetic_sim(
     ``resilience-traffic`` experiments).
 
     ``backend`` selects the engine: ``"event"`` (the discrete-event
-    reference), ``"batched"`` (the numpy cycle-driven engine, see
-    docs/performance.md), or ``"sharded"`` (the process-sharded batched
-    loop for open-loop runs at scale, see docs/scaling.md); ``None``
-    defers to ``config.backend``.  The backend/feature contract lives in
-    the capability matrix (:mod:`repro.sim.capabilities`).  ``oracle``
-    selects an on-demand routing oracle instead of the dense distance
-    matrix (see :func:`cached_tables`).
+    reference) or ``"batched"`` (the numpy cycle-driven engine, see
+    docs/performance.md); ``None`` defers to ``config.backend``.  The
+    backend/feature contract lives in the capability matrix
+    (:mod:`repro.sim.capabilities`).  ``oracle`` selects an on-demand
+    routing oracle instead of the dense distance matrix (see
+    :func:`cached_tables`; docs/scaling.md).
     """
     cfg = config or SimConfig(concentration=concentration)
     if config is None:
         cfg.concentration = concentration
     backend = backend if backend is not None else cfg.backend
     capabilities.require(backend, capabilities.OPEN_LOOP)
-    capabilities.require_routing(backend, routing_name)
-    if faults is not None:
-        capabilities.require(backend, capabilities.FAULTS)
-    if cfg.finite_buffers:
-        capabilities.require(backend, capabilities.FINITE_BUFFERS)
-    if cfg.channel is not None:
-        capabilities.require(backend, capabilities.LOSSY_LINKS)
     tables = cached_tables(topo, oracle=oracle)
     routing = make_routing(routing_name, tables, seed=seed)
-    if backend == "sharded":
-        from repro.sim import ShardedSimulator
-
-        net = ShardedSimulator(topo, routing, cfg, tables=tables, faults=faults)
-    elif backend == "batched":
+    if backend == "batched":
         net = BatchedSimulator(topo, routing, cfg, tables=tables, faults=faults)
     else:
         net = NetworkSimulator(topo, routing, cfg, tables=tables, faults=faults)

@@ -9,36 +9,13 @@ bound on the true bisection width, exactly as METIS is used in Fig. 4 and
 Table II.
 """
 
-import numpy as np
-
 from repro.partition.multilevel import bisect, bisection_bandwidth
 from repro.partition.kl import kernighan_lin_bisection
 from repro.partition.weighted import WeightedGraph
 
-
-def contiguous_ranges(n: int, k: int) -> list[tuple[int, int]]:
-    """Split ``range(n)`` into ``k`` contiguous, near-equal ``[lo, hi)`` spans.
-
-    The sharded simulation engine (:mod:`repro.sim.sharded`) assigns each
-    worker one span of router ids.  Contiguity matters there: a router's
-    outgoing directed-edge ids are a contiguous block of the head-major CSR
-    edge order, so a contiguous router span owns a contiguous port range.
-    Sizes differ by at most one (the first ``n % k`` spans get the extra
-    router); empty spans only appear when ``k > n``.
-    """
-    if k <= 0:
-        raise ValueError("need at least one part")
-    base, rem = divmod(n, k)
-    sizes = np.full(k, base, dtype=np.int64)
-    sizes[:rem] += 1
-    cuts = np.concatenate([[0], np.cumsum(sizes)])
-    return [(int(cuts[i]), int(cuts[i + 1])) for i in range(k)]
-
-
 __all__ = [
     "bisect",
     "bisection_bandwidth",
-    "contiguous_ranges",
     "kernighan_lin_bisection",
     "WeightedGraph",
 ]

@@ -74,10 +74,10 @@ BENCH_PRESETS: dict[str, dict[str, Any]] = {
                          "packets_per_rank": 8},
         },
         "scale_cells": (
-            {"name": "LPS(5,23)-sharded2-cayley", "p": 5, "q": 23,
+            {"name": "LPS(5,23)-cayley", "p": 5, "q": 23,
              "oracle": "cayley", "routing": "minimal", "pattern": "random",
              "load": 0.3, "concentration": 2, "n_ranks": 4096,
-             "packets_per_rank": 4, "shard_workers": 2},
+             "packets_per_rank": 4},
         ),
     },
     "small": {
@@ -112,19 +112,19 @@ BENCH_PRESETS: dict[str, dict[str, Any]] = {
                          "load": 0.5, "concentration": 2, "n_ranks": 128,
                          "packets_per_rank": 12},
         },
-        # Million-node-regime cells: SpectralFly instances far past the
-        # dense-table wall (LPS(5,47) has 103,776 routers; its n x n
-        # int16 distance matrix alone would be ~21.5 GB), routed through
-        # the on-demand Cayley oracle on the process-sharded engine.
+        # Scale cells: SpectralFly instances far past the dense-table wall
+        # (LPS(5,47) has 103,776 routers; its n x n int16 distance matrix
+        # alone would be ~21.5 GB), routed through the on-demand Cayley
+        # oracle on the batched engine.
         "scale_cells": (
-            {"name": "LPS(5,23)-sharded2-cayley", "p": 5, "q": 23,
+            {"name": "LPS(5,23)-cayley", "p": 5, "q": 23,
              "oracle": "cayley", "routing": "minimal", "pattern": "random",
              "load": 0.3, "concentration": 2, "n_ranks": 4096,
-             "packets_per_rank": 4, "shard_workers": 2},
-            {"name": "LPS(5,47)-sharded4-cayley", "p": 5, "q": 47,
+             "packets_per_rank": 4},
+            {"name": "LPS(5,47)-cayley", "p": 5, "q": 47,
              "oracle": "cayley", "routing": "minimal", "pattern": "random",
              "load": 0.3, "concentration": 2, "n_ranks": 16384,
-             "packets_per_rank": 4, "shard_workers": 4},
+             "packets_per_rank": 4},
         ),
     },
     "full": {
@@ -160,14 +160,19 @@ BENCH_PRESETS: dict[str, dict[str, Any]] = {
                          "packets_per_rank": 15},
         },
         "scale_cells": (
-            {"name": "LPS(5,47)-sharded4-cayley", "p": 5, "q": 47,
+            {"name": "LPS(5,47)-cayley", "p": 5, "q": 47,
              "oracle": "cayley", "routing": "minimal", "pattern": "random",
              "load": 0.3, "concentration": 2, "n_ranks": 65536,
-             "packets_per_rank": 8, "shard_workers": 4},
-            {"name": "LPS(5,47)-sharded4-valiant", "p": 5, "q": 47,
+             "packets_per_rank": 8},
+            {"name": "LPS(5,47)-valiant", "p": 5, "q": 47,
              "oracle": "cayley", "routing": "valiant", "pattern": "random",
              "load": 0.3, "concentration": 2, "n_ranks": 65536,
-             "packets_per_rank": 8, "shard_workers": 4},
+             "packets_per_rank": 8},
+            # 515,100 routers: its dense distance matrix would be ~531 GB.
+            {"name": "LPS(5,101)-cayley", "p": 5, "q": 101,
+             "oracle": "cayley", "routing": "minimal", "pattern": "random",
+             "load": 0.3, "concentration": 2, "n_ranks": 16384,
+             "packets_per_rank": 16},
         ),
     },
 }
@@ -591,30 +596,24 @@ def run_scenarios(
 
 
 # ---------------------------------------------------------------------------
-# Scale cells: oracle-routed SpectralFly on the sharded engine
+# Scale cells: oracle-routed SpectralFly on the batched engine
 # ---------------------------------------------------------------------------
 def run_scale_cell(sc: dict[str, Any], seed: int = BENCH_SEED) -> dict[str, Any]:
-    """Time one oracle-backed open-loop cell on the sharded engine.
+    """Time one oracle-backed open-loop cell on the batched engine.
 
-    These cells exist to keep the million-node path honest: an LPS
+    These cells exist to keep the large-instance path honest: an LPS
     instance past the dense-table wall is built, routed through the
     on-demand Cayley oracle (no O(n^2) distance matrix is ever
-    materialised — asserted, not assumed), and run on the process-sharded
-    batched engine.  The timer covers ``net.run()`` only; topology
-    construction and oracle setup (one BFS ball) are reported separately
-    in ``setup_wall_s``.
+    materialised — asserted, not assumed), and run on the batched
+    engine.  The timer covers ``net.run()`` only; topology construction
+    and oracle setup (one BFS ball) are reported separately in
+    ``setup_wall_s``.
     """
     from repro.experiments.common import build_synthetic_sim
-    from repro.sim import SimConfig
     from repro.topology import build_lps
 
     t0 = time.perf_counter()
     topo = build_lps(sc["p"], sc["q"])
-    cfg = SimConfig(
-        concentration=sc["concentration"],
-        backend="sharded",
-        shard_workers=sc["shard_workers"],
-    )
     net = build_synthetic_sim(
         topo,
         sc["routing"],
@@ -624,15 +623,14 @@ def run_scale_cell(sc: dict[str, Any], seed: int = BENCH_SEED) -> dict[str, Any]
         n_ranks=sc["n_ranks"],
         packets_per_rank=sc["packets_per_rank"],
         seed=seed,
-        config=cfg,
-        backend="sharded",
+        backend="batched",
         oracle=sc["oracle"],
     )
     setup_wall = time.perf_counter() - t0
     t0 = time.perf_counter()
     stats = net.run()
     wall = time.perf_counter() - t0
-    if net.tables._dist is not None:  # pragma: no cover - the whole point
+    if net.tables._dist is not None:
         raise RuntimeError(
             f"scale cell {sc['name']} materialised the dense distance "
             "matrix; the oracle seam leaked"
@@ -646,8 +644,7 @@ def run_scale_cell(sc: dict[str, Any], seed: int = BENCH_SEED) -> dict[str, Any]
         "routing": sc["routing"],
         "pattern": sc["pattern"],
         "load": sc["load"],
-        "backend": "sharded",
-        "shard_workers": sc["shard_workers"],
+        "backend": "batched",
         "oracle": sc["oracle"],
         "n_ranks": sc["n_ranks"],
         "packets_per_rank": sc["packets_per_rank"],
@@ -977,7 +974,7 @@ def compare_to_committed(
     new_s2 = fresh.get("summary_scenarios", {})
     for key in sorted(set(old_s) & set(new_s2)):
         check(f"scenario {key}", old_s.get(key), new_s2.get(key))
-    # Scale cells (oracle + sharded engine past the dense-table wall) are
+    # Scale cells (oracle + batched engine past the dense-table wall) are
     # matched by name so presets can gain or drop instances without
     # breaking the check.
     old_sc = {r["name"]: r for r in committed.get("scale_cells", [])}

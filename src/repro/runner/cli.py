@@ -282,9 +282,9 @@ def cmd_bench(args: argparse.Namespace) -> int:
     _select_cache(args)
     if args.scale_smoke:
         # CI's non-gating scale-smoke step: just the smoke preset's
-        # oracle-backed sharded cells (10^4-router SpectralFly, 2 workers),
-        # no JSON written — a fast end-to-end liveness probe of the
-        # million-node path.
+        # oracle-backed scale cell (12,144-router SpectralFly on the batched
+        # engine), no JSON written — a fast end-to-end liveness probe of the
+        # path past the dense-table wall.
         if args.check:
             raise SystemExit("--scale-smoke and --check are exclusive")
         rows = run_scale_cells(
@@ -572,9 +572,9 @@ def build_parser() -> argparse.ArgumentParser:
                         "if throughput regressed by more than 25%% "
                         "(compares against --out, never overwrites it)")
     p.add_argument("--scale-smoke", action="store_true",
-                   help="run only the preset's oracle-backed sharded scale "
-                        "cells (default preset: smoke) as a liveness probe; "
-                        "writes no JSON")
+                   help="run only the preset's oracle-backed scale cells "
+                        "on the batched engine (default preset: smoke) as a "
+                        "liveness probe; writes no JSON")
     p.add_argument("--baseline", type=float, metavar="PKT_PER_S",
                    help="pre-change packets/s to record and compare against")
     p.add_argument("--baseline-from", metavar="FILE",

@@ -297,7 +297,7 @@ EXPERIMENTS: dict[str, ExperimentDef] = _exp(
         cell_axes=("patterns", "loads"),
         tags=("figure", "simulation"),
         runtime="~1 min",
-        features=(capabilities.OPEN_LOOP, capabilities.ADAPTIVE_ROUTING),
+        features=(capabilities.OPEN_LOOP,),
     ),
     ExperimentDef(
         name="fig7",
@@ -407,7 +407,7 @@ EXPERIMENTS: dict[str, ExperimentDef] = _exp(
         },
         tags=("extension", "simulation"),
         runtime="~2 min",
-        features=(capabilities.OPEN_LOOP, capabilities.ADAPTIVE_ROUTING),
+        features=(capabilities.OPEN_LOOP,),
     ),
     ExperimentDef(
         name="saturation-congestion",
@@ -442,7 +442,7 @@ EXPERIMENTS: dict[str, ExperimentDef] = _exp(
         tags=("extension", "simulation", "congestion"),
         runtime="~2 min",
         features=(capabilities.OPEN_LOOP, capabilities.FINITE_BUFFERS,
-                  capabilities.LOSSY_LINKS, capabilities.ADAPTIVE_ROUTING),
+                  capabilities.LOSSY_LINKS),
     ),
     ExperimentDef(
         name="resilience-traffic",
@@ -477,8 +477,7 @@ EXPERIMENTS: dict[str, ExperimentDef] = _exp(
         cell_axes=("families", "routings"),
         tags=("extension", "simulation", "resilience"),
         runtime="~1 min",
-        features=(capabilities.OPEN_LOOP, capabilities.FAULTS,
-                  capabilities.ADAPTIVE_ROUTING),
+        features=(capabilities.OPEN_LOOP, capabilities.FAULTS),
     ),
     ExperimentDef(
         name="collectives",

@@ -20,13 +20,11 @@ from repro.sim.traffic import (
     make_traffic,
 )
 from repro.sim.placement import place_ranks
-from repro.sim.sharded import ShardedSimulator
 from repro.sim.stats import SimStats
 
 __all__ = [
     "Packet",
     "BatchedSimulator",
-    "ShardedSimulator",
     "NetworkSimulator",
     "SimConfig",
     "SimStats",

@@ -79,8 +79,9 @@ open-loop path (see ``docs/congestion.md``):
   deferring congested arrivals by whole cycles when the delay spans them.
 
 Still not supported here (use the event engine): ``run(until=...)``
-pause/resume, ad-hoc ``send()`` calls, delivery callbacks, and combining
-finite buffers or lossy links with closed-loop motif runs.  Every refusal
+pause/resume, ad-hoc ``send()`` calls, delivery callbacks, combining
+finite buffers or lossy links with closed-loop motif runs, and fault
+schedules on on-demand oracle tables.  Every refusal
 goes through the capability matrix (:mod:`repro.sim.capabilities`) and
 raises the one canonical :class:`~repro.errors.BackendCapabilityError` —
 construction-time errors, not silent fallbacks.
@@ -122,8 +123,11 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 CLOSED_LOOP_CYCLE_FACTOR = 1
 
 # Packed waiting-set sort key layout: port | enqueue cycle | tie-break.
-# 23 bits of port (paper-scale topologies top out around ~60K directed
-# edges + endpoints), 20 bits of cycle, 20 bits of random tie-break.
+# 23 bits of port, 20 bits of cycle, 20 bits of random tie-break.  The port
+# field bounds the engine: directed edges + endpoints must stay below
+# 2**23 = 8,388,608.  At concentration 2 the largest LPS(5,q) that fits is
+# LPS(5,109) (647,460 routers, 5,179,680 ports); LPS(5,107) and LPS(5,113)
+# are refused.
 _PORT_SHIFT = 40
 _ENQ_SHIFT = 20
 _ENQ_MASK = (1 << 20) - 1
@@ -149,10 +153,6 @@ class BatchedSimulator:
         tables: RoutingTables | None = None,
         faults=None,
     ) -> None:
-        if config.finite_buffers:
-            capabilities.require(self.backend, capabilities.FINITE_BUFFERS)
-        if config.channel is not None:
-            capabilities.require(self.backend, capabilities.LOSSY_LINKS)
         if routing.name not in ("minimal", "valiant", "ugal", "ugal-g"):
             raise SimulationError(
                 f"no vectorized implementation of routing {routing.name!r}; "
@@ -190,8 +190,9 @@ class BatchedSimulator:
         heads = np.repeat(np.arange(g.n, dtype=np.int64), np.diff(g.indptr))
         self._edge_keys = heads * g.n + np.asarray(g.indices, dtype=np.int64)
         self._n_dir = len(self._edge_keys)
+        # Every port id must fit the packed key's 23-bit port field.
         if self._n_dir + self.n_endpoints >= (1 << (63 - _PORT_SHIFT)):
-            raise SimulationError(  # pragma: no cover - paper scale is ~60K
+            raise SimulationError(
                 "topology too large for the packed contention keys; "
                 "use backend='event'"
             )
@@ -882,10 +883,13 @@ class BatchedSimulator:
         sorting below traffic events at equal timestamps).
         """
         if self.tables.is_lazy:
-            raise SimulationError(
+            raise BackendCapabilityError(
                 "fault schedules on backend='batched' need the dense "
                 "next-hop table; construct RoutingTables without an "
-                "on-demand oracle (or use backend='event')"
+                "on-demand oracle (or use backend='event')",
+                backend="batched",
+                feature=capabilities.FAULTS,
+                supported_backends=("event",),
             )
         g = self.topo.graph
         self._mask = self.tables.fault_mask()

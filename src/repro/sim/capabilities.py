@@ -5,8 +5,9 @@ guard — a constructor ``raise`` here, a driver-level ``ParameterError``
 there, and a raw ``TypeError`` from deep inside an engine when nothing
 checked at all.  The matrix below is now the **single source of truth**:
 
-* engine constructors (:class:`~repro.sim.network.NetworkSimulator`,
-  :class:`~repro.sim.batched.BatchedSimulator`) consult it at build time;
+* the engines consult it: :class:`~repro.sim.network.NetworkSimulator`
+  at build time, :class:`~repro.sim.batched.BatchedSimulator` in ``run``,
+  ``run_closed_loop`` and ``send``;
 * :func:`repro.experiments.common.build_synthetic_sim` and
   :func:`repro.workloads.runner.run_motif` validate their ``backend``
   argument through it;
@@ -28,7 +29,7 @@ from repro.errors import BackendCapabilityError
 
 #: The registered simulation engines, in preference order (the first entry
 #: is the reference implementation every other backend is pinned against).
-BACKENDS: tuple[str, ...] = ("event", "batched", "sharded")
+BACKENDS: tuple[str, ...] = ("event", "batched")
 
 #: Feature identifiers.  Each is a *scenario family* a simulation run may
 #: need, not an implementation detail: experiments declare which features
@@ -42,7 +43,6 @@ LOSSY_LINKS = "lossy-links"  # per-link loss/jitter channel (sim.channel)
 PAUSE_RESUME = "pause-resume"  # run(until=...) / max_events bounds
 DELIVERY_CALLBACKS = "delivery-callbacks"  # per-packet on_delivery hooks
 ADHOC_SEND = "adhoc-send"  # caller-driven send() outside the motif runner
-ADAPTIVE_ROUTING = "adaptive-routing"  # UGAL-family policies (global queues)
 
 FEATURES: tuple[str, ...] = (
     OPEN_LOOP,
@@ -54,7 +54,6 @@ FEATURES: tuple[str, ...] = (
     PAUSE_RESUME,
     DELIVERY_CALLBACKS,
     ADHOC_SEND,
-    ADAPTIVE_ROUTING,
 )
 
 #: The matrix itself.  The event engine is the reference and supports
@@ -68,15 +67,8 @@ FEATURES: tuple[str, ...] = (
 CAPABILITIES: dict[str, frozenset[str]] = {
     "event": frozenset(FEATURES),
     "batched": frozenset(
-        {OPEN_LOOP, MOTIFS, COLLECTIVES, FAULTS, FINITE_BUFFERS,
-         LOSSY_LINKS, ADAPTIVE_ROUTING}
+        {OPEN_LOOP, MOTIFS, COLLECTIVES, FAULTS, FINITE_BUFFERS, LOSSY_LINKS}
     ),
-    # The process-sharded batched engine (repro.sim.sharded) exists for one
-    # job: open-loop synthetic sweeps at scales where a single cycle loop
-    # is the bottleneck.  Everything stateful-across-shards (fault epochs,
-    # UGAL queue signals — hence no "adaptive-routing" — credit chains,
-    # channel draws) stays on the other backends.
-    "sharded": frozenset({OPEN_LOOP}),
 }
 
 assert tuple(CAPABILITIES) == BACKENDS  # keep the two declarations in sync
@@ -138,27 +130,3 @@ def require_all(backend: str, features: tuple[str, ...] | list[str],
     check_backend(backend, context)
     for feature in features:
         require(backend, feature, context)
-
-
-#: Features a routing policy needs from the engine beyond the scenario's
-#: own features.  UGAL-family policies read global queue occupancy on every
-#: routing decision, which the process-sharded engine cannot provide —
-#: before this mapping existed, ``ugal`` on ``sharded`` only failed deep in
-#: the engine constructor; now :func:`require_routing` raises the canonical
-#: error at assembly time, uniformly for every driver.
-ROUTING_FEATURES: dict[str, tuple[str, ...]] = {
-    "minimal": (),
-    "valiant": (),
-    "ugal": (ADAPTIVE_ROUTING,),
-    "ugal-g": (ADAPTIVE_ROUTING,),
-}
-
-
-def require_routing(backend: str, routing: str, context: str = "") -> None:
-    """Raise unless ``backend`` supports routing policy ``routing``.
-
-    Unknown routing names pass through — the routing factory owns that
-    error (with the list of valid policies); this guard only covers the
-    backend/feature axis.
-    """
-    require_all(backend, ROUTING_FEATURES.get(routing, ()), context)

@@ -101,10 +101,6 @@ class SimConfig:
     #: event-for-event — see docs/performance.md for the guarantees and the
     #: tolerance table.  Ignored by :class:`NetworkSimulator` itself.
     backend: str = "event"
-    #: Process-pool size for ``backend="sharded"``
-    #: (:class:`~repro.sim.sharded.ShardedSimulator`); ``0``/``1`` keeps
-    #: the run single-process.  Ignored by every other backend.
-    shard_workers: int = 2
 
     def __post_init__(self) -> None:
         # Consult the capability matrix up front: an unknown backend fails

@@ -271,12 +271,12 @@ class TestCompareToCommitted:
 
 
 #: A micro scale cell: the smallest LPS instance, forced through the
-#: oracle + sharded path so unit tests exercise the real machinery.
+#: oracle + batched path so unit tests exercise the real machinery.
 _TINY_SCALE = {
-    "name": "LPS(3,5)-sharded2-cayley", "p": 3, "q": 5,
+    "name": "LPS(3,5)-cayley", "p": 3, "q": 5,
     "oracle": "cayley", "routing": "minimal", "pattern": "random",
     "load": 0.3, "concentration": 2, "n_ranks": 64,
-    "packets_per_rank": 2, "shard_workers": 2,
+    "packets_per_rank": 2,
 }
 
 
@@ -286,13 +286,26 @@ class TestScaleCells:
 
         row = run_scale_cell(_TINY_SCALE)
         assert row["name"] == _TINY_SCALE["name"]
-        assert row["backend"] == "sharded"
+        assert row["backend"] == "batched"
         assert row["oracle"] == "cayley"
         assert row["routers"] == 120
         assert row["delivered"] == 64 * 2
         assert row["packets_per_s"] > 0
         assert row["wall_s"] > 0 and row["setup_wall_s"] > 0
         assert row["dense_table_bytes_avoided"] == 120 * 120 * 2
+
+    def test_run_scale_cell_refuses_dense_tables(self, monkeypatch):
+        from repro.experiments import common
+        from repro.routing import RoutingTables
+        from repro.runner.bench import run_scale_cell
+
+        # A leak in the oracle seam: the cell gets dense tables.
+        monkeypatch.setattr(
+            common, "cached_tables",
+            lambda topo, oracle=None: RoutingTables(topo.graph),
+        )
+        with pytest.raises(RuntimeError, match=r"LPS\(3,5\)-cayley"):
+            run_scale_cell(_TINY_SCALE)
 
     def test_run_scale_cells_respects_preset_section(self, monkeypatch):
         from repro.runner.bench import run_scale_cells
@@ -324,10 +337,10 @@ class TestScaleCells:
 
     def test_scale_cell_regression_is_flagged(self):
         committed = {"scale_cells": [
-            {"name": "LPS(5,23)-sharded2-cayley", "packets_per_s": 40000.0},
+            {"name": "LPS(5,23)-cayley", "packets_per_s": 40000.0},
         ]}
         fresh = {"scale_cells": [
-            {"name": "LPS(5,23)-sharded2-cayley", "packets_per_s": 10000.0},
+            {"name": "LPS(5,23)-cayley", "packets_per_s": 10000.0},
         ]}
         problems = compare_to_committed(committed, fresh)
         assert any("scale cell" in p for p in problems)
@@ -337,11 +350,23 @@ class TestScaleCells:
         fresh["scale_cells"][0]["packets_per_s"] = 90000.0
         assert compare_to_committed(committed, fresh) == []
 
-    def test_presets_with_scale_cells_use_the_sharded_oracle_path(self):
+    def test_presets_with_scale_cells_use_the_oracle_path(self):
         for preset in ("smoke", "small", "full"):
             for sc in BENCH_PRESETS[preset].get("scale_cells", ()):
                 assert sc["oracle"] in ("cayley", "landmark")
-                assert sc["shard_workers"] >= 2
                 # Past the smoke tier the instances sit beyond the dense
                 # wall: the q=23/q=47 LPS cells must never densify.
                 assert sc["q"] >= 23
+
+    def test_preset_scale_cells_fit_the_batched_port_field(self):
+        # Checked without building: the largest cell has 515,100 routers.
+        from repro.sim.batched import _PORT_SHIFT
+        from repro.topology.lps import lps_num_vertices
+
+        cells = [sc for preset in BENCH_PRESETS.values()
+                 for sc in preset.get("scale_cells", ())]
+        assert cells
+        for sc in cells:
+            ports = ((sc["p"] + 1 + sc["concentration"])
+                     * lps_num_vertices(sc["p"], sc["q"]))
+            assert ports < 1 << (63 - _PORT_SHIFT), sc["name"]

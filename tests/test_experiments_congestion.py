@@ -100,10 +100,8 @@ class TestRegistryEntry:
             capabilities.OPEN_LOOP,
             capabilities.FINITE_BUFFERS,
             capabilities.LOSSY_LINKS,
-            capabilities.ADAPTIVE_ROUTING,  # the sweep includes ugal
         }
-        # Both engines implement all four since the batched credit loop
-        # (the sharded scale engine implements none of the last three).
+        # Both engines implement all three since the batched credit loop.
         assert set(exp.supported_backends) == {"event", "batched"}
 
     def test_default_regimes_cover_the_grid(self):

@@ -140,12 +140,7 @@ def test_backend_overrides_validate_at_spec_time():
     # names the backends that would work.
     from repro.errors import BackendCapabilityError
 
-    # Simulation experiments accept both general engines; the ones whose
-    # sweeps stay on minimal/valiant routing (fig7, fig8) additionally
-    # admit the process-sharded scale engine, while everything that
-    # sweeps UGAL-family policies, faults, motifs, or congestion does
-    # not (those couple state across shard boundaries — see the
-    # "adaptive-routing" feature and docs/scaling.md).
+    # Every open-loop simulation experiment accepts both engines.
     for name in ("fig6", "fig7", "fig8", "fig9", "fig10", "saturation",
                  "resilience-traffic", "saturation-congestion"):
         exp = get_experiment(name)
@@ -153,12 +148,7 @@ def test_backend_overrides_validate_at_spec_time():
             assert exp.params("small", {"backend": backend})[
                 "backend"
             ] == backend
-        expected = (
-            {"event", "batched", "sharded"}
-            if name in ("fig7", "fig8")
-            else {"event", "batched"}
-        )
-        assert set(exp.supported_backends) == expected, name
+        assert set(exp.supported_backends) == {"event", "batched"}, name
 
     # ... an unknown backend is rejected by name, with the options listed.
     with pytest.raises(BackendCapabilityError, match="event, batched"):

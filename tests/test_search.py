@@ -9,7 +9,7 @@ on every platform and run.
 import numpy as np
 import pytest
 
-from repro.errors import BackendCapabilityError, ParameterError
+from repro.errors import ParameterError
 from repro.graphs.csr import CSRGraph
 from repro.graphs.generators import cycle_graph, random_regular_graph
 from repro.graphs.metrics import is_connected
@@ -239,33 +239,6 @@ class TestSearchedTopology:
                 n_ranks=16, packets_per_rank=4, seed=0, backend=backend,
             )
         assert out["event"]["delivered"] == out["batched"]["delivered"] > 0
-
-
-# -- capability-matrix routing validation ------------------------------------
-class TestRoutingFeatureValidation:
-    def test_ugal_on_sharded_fails_at_assembly_time(self):
-        from repro.experiments.common import build_synthetic_sim
-
-        topo = build_jellyfish(26, 4, seed=0)
-        with pytest.raises(BackendCapabilityError) as err:
-            build_synthetic_sim(
-                topo, "ugal", "random", 0.4, concentration=2,
-                n_ranks=16, packets_per_rank=4, backend="sharded",
-            )
-        assert "adaptive-routing" in str(err.value)
-
-    def test_require_routing_matrix(self):
-        from repro.sim import capabilities
-
-        for backend in capabilities.BACKENDS:
-            capabilities.require_routing(backend, "minimal")
-            capabilities.require_routing(backend, "valiant")
-        capabilities.require_routing("event", "ugal")
-        capabilities.require_routing("batched", "ugal-g")
-        with pytest.raises(BackendCapabilityError):
-            capabilities.require_routing("sharded", "ugal")
-        # Unknown policies pass through: the routing factory owns that error.
-        capabilities.require_routing("sharded", "no-such-policy")
 
 
 # -- the registry experiment -------------------------------------------------

@@ -10,15 +10,23 @@ The statistical equivalence with the event engine lives in
   different association order);
 * self-sends are excluded from the stats exactly like the event engine;
 * unsupported features fail loudly at construction/call time rather than
-  silently falling back (finite buffers, pause/resume, send(), delivery
-  callbacks, unknown policies, shared-endpoint sources) — the full
-  backend x feature product lives in ``tests/test_sim_capabilities.py``;
+  silently falling back (closed-loop congestion features, pause/resume,
+  send(), delivery callbacks, unknown policies, shared-endpoint sources)
+  — the full backend x feature product lives in
+  ``tests/test_sim_capabilities.py``;
 * fault schedules are *supported* (epoch boundaries) but attach at most
   once and only before the run;
 * the engine gathers from the stored next-hop arrays: a batched run,
   faulted or not, never builds the event engine's list views;
 * a run past the 2**20-cycle budget, open- or closed-loop, refuses and
-  points to the event backend.
+  points to the event backend;
+* a topology whose ports overflow the packed key's 23-bit port field is
+  refused at construction, and LPS(5,109) is the largest LPS(5,q) the
+  field admits at concentration 2;
+* the scale path (this engine on on-demand Cayley-oracle tables)
+  delivers every packet, is deterministic per seed, routes minimal
+  packets over exact distances, matches dense tables bit for bit under
+  the adaptive policies, and never builds the dense distance matrix.
 """
 
 import numpy as np
@@ -41,7 +49,8 @@ def parts():
 
 
 def _net(parts, backend, routing="minimal", pattern="random", load=0.5,
-         n_ranks=32, packets_per_rank=6, seed=5, concentration=2):
+         n_ranks=32, packets_per_rank=6, seed=5, concentration=2,
+         oracle=None):
     topo, _tables = parts
     return build_synthetic_sim(
         topo,
@@ -53,6 +62,7 @@ def _net(parts, backend, routing="minimal", pattern="random", load=0.5,
         packets_per_rank=packets_per_rank,
         seed=seed,
         backend=backend,
+        oracle=oracle,
     )
 
 
@@ -257,6 +267,39 @@ class TestCycleBudget:
             net.run_closed_loop(chain, np.arange(4, dtype=np.int64))
 
 
+class TestPortLimit:
+    def test_topology_past_the_port_field_is_refused(self, parts, monkeypatch):
+        import repro.sim.batched as batched_mod
+
+        # LPS(3,5) at concentration 2 has 480 directed edges + 240
+        # endpoints; a 9-bit port field (limit 512) cannot hold them.
+        monkeypatch.setattr(batched_mod, "_PORT_SHIFT", 63 - 9)
+        topo, tables = parts
+        with pytest.raises(SimulationError, match="too large"):
+            BatchedSimulator(topo, make_routing("minimal", tables, seed=0),
+                             SimConfig(concentration=2), tables=tables)
+
+    def test_lps_5_109_is_the_largest_lps_5_q_admitted(self):
+        """The bound docs/scaling.md states: at concentration 2 an
+        LPS(5,q) instance has ``(5 + 1 + 2) * n`` ports."""
+        from repro.nt.primes import is_prime
+        from repro.sim.batched import _PORT_SHIFT
+        from repro.topology.lps import lps_num_vertices
+
+        limit = 1 << (63 - _PORT_SHIFT)
+
+        def admitted(q):
+            return 8 * lps_num_vertices(5, q) < limit
+
+        assert admitted(61) and admitted(101) and admitted(109)
+        assert not admitted(107) and not admitted(113)
+        # Both group orders grow with q, and from q = 131 on even the
+        # smaller (PSL) one overflows, so this scan is exhaustive.
+        assert not admitted(131)
+        fits = [q for q in range(7, 132) if is_prime(q) and admitted(q)]
+        assert max(fits) == 109
+
+
 LIST_VIEWS = {"nh_indptr", "nh_indices", "dist_flat"}
 
 
@@ -301,3 +344,80 @@ class TestStoredTables:
         assert policy._nh_indptr is tables.nh_indptr
         assert policy._dist_flat is tables.dist_flat
         assert type(policy._nh_indices) is list
+
+
+class TestOracleScalePath:
+    """The one path past the dense-table wall: this engine on tables routed
+    through the on-demand Cayley oracle."""
+
+    def _run(self, parts, **kw):
+        net = _net(parts, "batched", oracle="cayley", **kw)
+        stats = net.run()
+        assert net.tables.is_lazy and net.tables._dist is None
+        return stats
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_every_packet_delivers_exactly_once(self, parts, seed):
+        stats = self._run(parts, seed=seed)
+        assert stats.n_injected == 32 * 6
+        assert len(stats.latencies_ns) == stats.n_injected
+        assert len(stats.hops) == stats.n_injected
+        # Zero hops is legal: both endpoints on the same router.
+        assert min(stats.hops) >= 0
+        assert min(stats.latencies_ns) > 0
+
+    def test_valiant_also_conserves(self, parts):
+        stats = self._run(parts, routing="valiant", seed=5)
+        assert len(stats.latencies_ns) == stats.n_injected > 0
+        # Valiant detours must show up as extra hops on average.
+        minimal = self._run(parts, seed=5)
+        assert np.mean(stats.hops) > np.mean(minimal.hops)
+
+    def test_identical_stats_across_repeat_runs(self, parts):
+        a = self._run(parts, seed=11)
+        b = self._run(parts, seed=11)
+        assert a.latencies_ns == b.latencies_ns
+        assert a.hops == b.hops
+        assert a.t_last_delivery == b.t_last_delivery
+
+    def test_seed_changes_the_run(self, parts):
+        a = self._run(parts, seed=11)
+        b = self._run(parts, seed=12)
+        assert sorted(a.latencies_ns) != sorted(b.latencies_ns)
+
+    def test_minimal_routing_hop_counts_are_exact_distances(self, parts):
+        _topo, dense = parts
+        net = _net(parts, "batched", pattern="transpose", packets_per_rank=8,
+                   seed=9, oracle="cayley")
+        # Transpose fixes each rank's destination, so the hop multiset is
+        # the dense-table distances, once per packet; self-sends drop out.
+        expected = []
+        for src in net._sources:
+            dst_ep = int(src.rank_to_endpoint[src.pattern.destination(
+                src.rank, None)])
+            if dst_ep != src.endpoint:
+                expected += [dense.distance(src.endpoint // 2,
+                                            dst_ep // 2)] * 8
+        stats = net.run()
+        assert net.tables._dist is None
+        assert len(expected) == stats.n_injected > 0
+        assert sorted(stats.hops) == sorted(expected)
+
+    @pytest.mark.parametrize("routing", ["ugal", "ugal-g"])
+    def test_adaptive_runs_match_dense_tables_bit_for_bit(self, parts,
+                                                          routing):
+        # The differential suite's oracle sample runs minimal and valiant
+        # on this engine; the adaptive policies also read distances and
+        # next hops through the oracle.
+        kw = dict(routing=routing, pattern="tornado", load=0.8, seed=3,
+                  packets_per_rank=12)
+        dense = _net(parts, "batched", **kw).run()
+        lazy = self._run(parts, **kw)
+        assert lazy.n_injected == dense.n_injected > 0
+        # The adaptive branch must actually fire.
+        assert lazy.valiant_choices > 0
+        assert lazy.latencies_ns == dense.latencies_ns
+        assert lazy.hops == dense.hops
+        assert (lazy.valiant_choices, lazy.minimal_choices) == (
+            dense.valiant_choices, dense.minimal_choices
+        )

@@ -8,6 +8,10 @@ silent fallback.  Parametrizing over the full product means a future
 backend (or a feature added to one engine only) cannot silently regress a
 combination: add it to the matrix and this file fails until every cell is
 either implemented or properly refused.
+
+The product runs twice: on dense routing tables, and on the scale path's
+on-demand Cayley-oracle tables, where a supported pair must also leave the
+dense distance matrix unbuilt.
 """
 
 from __future__ import annotations
@@ -15,14 +19,9 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import BackendCapabilityError, SimulationError
-from repro.experiments.common import build_synthetic_sim
+from repro.experiments.common import build_synthetic_sim, cached_tables
 from repro.routing import RoutingTables, make_routing
-from repro.sim import (
-    BatchedSimulator,
-    NetworkSimulator,
-    ShardedSimulator,
-    SimConfig,
-)
+from repro.sim import BatchedSimulator, NetworkSimulator, SimConfig
 from repro.sim import capabilities as cap
 from repro.sim.faults import FaultSchedule
 from repro.topology import build_lps
@@ -38,16 +37,21 @@ from repro.workloads import (
 def parts():
     topo = build_lps(3, 5)
     tables = RoutingTables(topo.graph)
-    return topo, tables
+    return topo, tables, None
+
+
+@pytest.fixture(scope="module")
+def oracle_parts():
+    # The scale path: the same topology routed through the on-demand
+    # Cayley oracle.  ``cached_tables`` hands ``build_synthetic_sim`` this
+    # very instance, so every exercise below shares it.
+    topo = build_lps(3, 5)
+    return topo, cached_tables(topo, oracle="cayley"), "cayley"
 
 
 def _make_engine(parts, backend):
-    topo, tables = parts
-    cls = {
-        "event": NetworkSimulator,
-        "batched": BatchedSimulator,
-        "sharded": ShardedSimulator,
-    }[backend]
+    topo, tables, _ = parts
+    cls = {"event": NetworkSimulator, "batched": BatchedSimulator}[backend]
     return cls(topo, make_routing("minimal", tables, seed=0),
                SimConfig(concentration=2), tables=tables)
 
@@ -55,17 +59,17 @@ def _make_engine(parts, backend):
 # One minimal, *real* exercise per feature.  Each either completes or
 # raises; anything else (wrong error type, silent no-op) fails the test.
 def _exercise_open_loop(parts, backend):
-    topo, _ = parts
+    topo, _, oracle = parts
     net = build_synthetic_sim(
         topo, "minimal", "random", 0.5, concentration=2, n_ranks=8,
-        packets_per_rank=2, seed=0, backend=backend,
+        packets_per_rank=2, seed=0, backend=backend, oracle=oracle,
     )
     stats = net.run()
     assert len(stats.latencies_ns) == stats.n_injected > 0
 
 
 def _exercise_motifs(parts, backend):
-    topo, tables = parts
+    topo, tables, _ = parts
     out = run_motif(
         topo, make_routing("minimal", tables, seed=0),
         Sweep3DMotif((3, 3), sweeps=1), SimConfig(concentration=2),
@@ -75,7 +79,7 @@ def _exercise_motifs(parts, backend):
 
 
 def _exercise_collectives(parts, backend):
-    topo, tables = parts
+    topo, tables, _ = parts
     out = run_collective(
         topo, make_routing("minimal", tables, seed=0),
         CollectiveMotif("allreduce", "ring", 4, total_bytes=1024),
@@ -86,26 +90,27 @@ def _exercise_collectives(parts, backend):
 
 
 def _exercise_faults(parts, backend):
-    topo, _ = parts
+    topo, _, oracle = parts
     schedule = FaultSchedule.random_link_faults(
         topo.graph, 0.05, t_fail=2000.0, seed=1, t_recover=9000.0
     )
     net = build_synthetic_sim(
         topo, "minimal", "random", 0.5, concentration=2, n_ranks=16,
         packets_per_rank=4, seed=0, faults=schedule, backend=backend,
+        oracle=oracle,
     )
     stats = net.run()
     assert len(stats.epochs) == len(schedule)
 
 
 def _exercise_finite_buffers(parts, backend):
-    topo, _ = parts
+    topo, _, oracle = parts
     net = build_synthetic_sim(
         topo, "minimal", "random", 0.6, concentration=2, n_ranks=16,
         packets_per_rank=4, seed=0,
         config=SimConfig(concentration=2, finite_buffers=True,
                          buffer_bytes=2 * 4096),
-        backend=backend,
+        backend=backend, oracle=oracle,
     )
     stats = net.run()
     # Credits must flow: everything delivers and every buffer drains.
@@ -116,14 +121,14 @@ def _exercise_finite_buffers(parts, backend):
 def _exercise_lossy_links(parts, backend):
     from repro.sim import ChannelConfig
 
-    topo, _ = parts
+    topo, _, oracle = parts
     channel = ChannelConfig(loss_prob=0.15, jitter_ns=10.0, max_attempts=2,
                             backoff_ns=20.0, seed=7)
     net = build_synthetic_sim(
         topo, "minimal", "random", 0.5, concentration=2, n_ranks=16,
         packets_per_rank=4, seed=0,
         config=SimConfig(concentration=2, channel=channel),
-        backend=backend,
+        backend=backend, oracle=oracle,
     )
     stats = net.run()
     # The channel must actually bite: losses itemized by cause, the rest
@@ -175,16 +180,6 @@ def _exercise_adhoc_send(parts, backend):
     assert len(stats.latencies_ns) == 1
 
 
-def _exercise_adaptive_routing(parts, backend):
-    topo, _ = parts
-    net = build_synthetic_sim(
-        topo, "ugal", "random", 0.5, concentration=2, n_ranks=8,
-        packets_per_rank=2, seed=0, backend=backend,
-    )
-    stats = net.run()
-    assert len(stats.latencies_ns) == stats.n_injected > 0
-
-
 _EXERCISES = {
     cap.OPEN_LOOP: _exercise_open_loop,
     cap.MOTIFS: _exercise_motifs,
@@ -195,7 +190,6 @@ _EXERCISES = {
     cap.PAUSE_RESUME: _exercise_pause_resume,
     cap.DELIVERY_CALLBACKS: _exercise_delivery_callbacks,
     cap.ADHOC_SEND: _exercise_adhoc_send,
-    cap.ADAPTIVE_ROUTING: _exercise_adaptive_routing,
 }
 
 
@@ -231,6 +225,10 @@ class TestMatrixDeclaration:
             cap.require("threaded", cap.OPEN_LOOP)
         with pytest.raises(BackendCapabilityError, match="unknown"):
             SimConfig(backend="threaded")
+        # A removed engine's name is just unknown; the options name both.
+        with pytest.raises(BackendCapabilityError,
+                           match="unknown.*options: event, batched$"):
+            SimConfig(backend="sharded")
 
     def test_require_names_the_supported_backends(self):
         with pytest.raises(BackendCapabilityError) as exc:
@@ -264,3 +262,48 @@ class TestFullProductRunsOrRaisesCanonically:
             assert any(
                 b in str(exc.value) for b in cap.supported_backends(feature)
             )
+
+
+#: Pairs the matrix lists but the batched engine refuses on oracle tables:
+#: fault epochs rewrite the dense next-hop table, which an on-demand oracle
+#: never builds.
+_DENSE_TABLES_ONLY = {("batched", cap.FAULTS)}
+
+
+class TestOracleTablesRunOrRaiseCanonically:
+    @pytest.mark.parametrize("feature", cap.FEATURES)
+    @pytest.mark.parametrize("backend", cap.BACKENDS)
+    def test_pair_runs_or_raises_the_canonical_error(
+        self, oracle_parts, backend, feature
+    ):
+        _, tables, _ = oracle_parts
+        exercise = _EXERCISES[feature]
+        if (cap.supports(backend, feature)
+                and (backend, feature) not in _DENSE_TABLES_ONLY):
+            exercise(oracle_parts, backend)  # must genuinely run
+        else:
+            with pytest.raises(BackendCapabilityError) as exc:
+                exercise(oracle_parts, backend)
+            # The event engine runs every feature on oracle tables, so
+            # every refusal points there.
+            assert exc.value.supported_backends == ("event",)
+            assert "event" in str(exc.value)
+        assert tables.is_lazy and tables._dist is None
+
+
+class TestEveryEngineRoutesAdaptively:
+    """The matrix has no routing column because no engine refuses a policy.
+    This pins that premise for the two adaptive policies: a backend added
+    without them fails here, and the column has to come back."""
+
+    @pytest.mark.parametrize("policy", ["ugal", "ugal-g"])
+    @pytest.mark.parametrize("backend", cap.BACKENDS)
+    def test_adaptive_policy_runs(self, parts, backend, policy):
+        topo, _, _ = parts
+        net = build_synthetic_sim(
+            topo, policy, "random", 0.5, concentration=2, n_ranks=8,
+            packets_per_rank=2, seed=0, backend=backend,
+        )
+        assert net.routing.name == policy
+        stats = net.run()
+        assert len(stats.latencies_ns) == stats.n_injected > 0

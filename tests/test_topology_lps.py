@@ -68,9 +68,9 @@ class TestVertexCounts:
         assert lps_num_vertices(p, q) == n
 
     def test_million_router_candidate_is_the_psl_case(self):
-        # docs/scaling.md's "million-router" instance: (5/101) = 1, so
+        # The largest scale cell of docs/scaling.md: (5/101) = 1, so
         # LPS(5,101) is the PSL case with q(q^2-1)/2 routers, half of the
-        # PGL count.  Closed form only; the graph is never built.
+        # PGL count.  Closed form only; the graph is not built here.
         assert legendre_symbol(5, 101) == 1
         assert lps_num_vertices(5, 101) == 515_100
 
