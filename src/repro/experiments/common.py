@@ -142,7 +142,7 @@ def build_synthetic_sim(
 
     ``backend`` selects the engine: ``"event"`` (the discrete-event
     reference) or ``"batched"`` (the numpy cycle-driven engine, see
-    docs/performance.md); ``None`` defers to ``config.backend``.  The
+    docs/performance.md); ``None`` means ``"event"``.  The
     backend/feature contract lives in the capability matrix
     (:mod:`repro.sim.capabilities`).  ``oracle`` selects an on-demand
     routing oracle instead of the dense distance matrix (see
@@ -151,7 +151,7 @@ def build_synthetic_sim(
     cfg = config or SimConfig(concentration=concentration)
     if config is None:
         cfg.concentration = concentration
-    backend = backend if backend is not None else cfg.backend
+    backend = "event" if backend is None else backend
     capabilities.require(backend, capabilities.OPEN_LOOP)
     tables = cached_tables(topo, oracle=oracle)
     routing = make_routing(routing_name, tables, seed=seed)
@@ -215,7 +215,7 @@ def run_synthetic_sim(
         routing=routing_name,
         pattern=pattern_name,
         offered_load=offered_load,
-        backend=backend or (config.backend if config else "event"),
+        backend="event" if backend is None else backend,
     )
     return out
 

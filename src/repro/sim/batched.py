@@ -10,9 +10,10 @@ cycle at a time as numpy array programs** over the same CSR-of-CSR
   directed edge) and every ejection port transmits at most one packet per
   cycle, which reproduces the event engine's service rate exactly;
 * **injection** comes from one bulk predraw of every source's schedule
-  (:func:`~repro.sim.traffic.predraw_sources`): identical Poisson gaps and
-  destinations to the event engine at equal seeds, NIC serialization
-  resolved by a vectorized max-scan before the cycle loop;
+  (:func:`~repro.sim.traffic.predraw_sources`, the draw the event engine's
+  sources replay): identical Poisson gaps and destinations at equal seeds,
+  NIC serialization resolved by a vectorized max-scan before the cycle
+  loop;
 * **routing** is a per-cycle vectorized next-hop lookup: two ``nh_indptr``
   gathers and one ``nh_indices`` gather per arriving batch, uniform
   tie-breaks from one block of uniforms (Valiant/UGAL source decisions are
@@ -109,18 +110,6 @@ from repro.topology.base import Topology
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.network import SimConfig
-
-#: Closed-loop (motif) cycle quantum, in units of the open-loop cycle
-#: ``tau``.  Closed-loop mode tracks exact per-packet and per-port times,
-#: so the cycle grid only batches contention decisions and orders
-#: same-cycle arrivals (exactly, via the arrival-time tie-break) — a
-#: coarser grid costs ordering fidelity only across concurrent
-#: quiescence iterations, while shrinking the Python-loop overhead per
-#: simulated nanosecond.  Measured: factors past 1 buy little throughput
-#: (the cost is per-iteration numpy overhead, not cycle count) while the
-#: halo3d latency differential visibly loosens, so the quantum stays at
-#: the open-loop cycle.
-CLOSED_LOOP_CYCLE_FACTOR = 1
 
 # Packed waiting-set sort key layout: port | enqueue cycle | tie-break.
 # 23 bits of port, 20 bits of cycle, 20 bits of random tie-break.  The port
@@ -831,7 +820,7 @@ class BatchedSimulator:
         if self._msg_sizes is None:
             tie = self.rng.integers(0, _ENQ_MASK, size=len(p))
         else:
-            frac = self._t_arr[p] / self._cl_tau - (c - 1)
+            frac = self._t_arr[p] / self._tau - (c - 1)
             # Round, don't truncate: truncation turns the one-ulp float
             # error of the fraction round-trip into off-by-one ties, so
             # two packets with distinct quantized arrivals could collide
@@ -1298,7 +1287,6 @@ class BatchedSimulator:
         self._ns_per_byte = 1.0 / self.config.bytes_per_ns
         self._nic_free = np.zeros(self.n_endpoints)
         self._port_free = np.zeros(self._n_dir + self.n_endpoints)
-        self._cl_tau = self._tau * CLOSED_LOOP_CYCLE_FACTOR
         self._arrivals: dict[int, list] = {}
         self._arr_heap: list[int] = []
         self._cl_moves = 0
@@ -1372,7 +1360,7 @@ class BatchedSimulator:
         stats = self.stats
         nspb = self._ns_per_byte
         link = self._link
-        tau = self._cl_tau
+        tau = self._tau
         sizes = self._msg_sizes
         nic_free = self._nic_free
         t_arr = self._t_arr
@@ -1443,7 +1431,7 @@ class BatchedSimulator:
             ids, t_call = self._release_deps(s_ids, t_del)
 
     def _cl_cycle_loop(self) -> None:
-        tau = self._cl_tau
+        tau = self._tau
         switch = self._switch
         link = self._link
         nspb = self._ns_per_byte

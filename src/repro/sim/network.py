@@ -62,7 +62,7 @@ _NIC_DONE = 0  # (t, seq, 0, ep, pkt): NIC finished serialising into router
 _ARRIVE = 1  # (t, seq, 1, router, pkt, is_source): packet fully at a router
 _PORT_DONE = 2  # (t, seq, 2, eid, pkt, next_router, vc): port finished
 _EJECT_DONE = 3  # (t, seq, 3, ep, pkt): delivered to the endpoint
-_INJECT = 4  # (t, seq, 4, source): open-loop traffic source fires
+_INJECT = 4  # (t, seq, 4, source): open-loop source replays its next row
 _FAULT = 5  # (t, seq, 5, idx): apply fault-schedule event ``idx``
 
 
@@ -94,20 +94,6 @@ class SimConfig:
     #: on both engines (feature ``lossy-links``).  ``None`` — the default —
     #: keeps links ideal and every engine hot path untouched.
     channel: "ChannelConfig | None" = None
-    #: Which simulation engine ``build_synthetic_sim`` constructs:
-    #: ``"event"`` (this module's discrete-event simulator, the reference)
-    #: or ``"batched"`` (the numpy cycle-driven engine in
-    #: :mod:`repro.sim.batched`).  The two agree statistically, not
-    #: event-for-event — see docs/performance.md for the guarantees and the
-    #: tolerance table.  Ignored by :class:`NetworkSimulator` itself.
-    backend: str = "event"
-
-    def __post_init__(self) -> None:
-        # Consult the capability matrix up front: an unknown backend fails
-        # at config construction, not deep inside an engine.
-        from repro.sim.capabilities import check_backend
-
-        check_backend(self.backend, context="SimConfig")
 
     @property
     def bytes_per_ns(self) -> float:
@@ -181,7 +167,9 @@ class NetworkSimulator:
         self.now = 0.0
         self.stats = SimStats()
         self._sources: list = []  # open-loop traffic sources
-        self._n_sources_started = 0  # sources already start()ed by run()
+        # Sources already drawn and start()ed by run(), one bulk
+        # predraw_sources call per run() that finds new ones.
+        self._n_sources_started = 0
         self.on_delivery = None  # optional callback(pkt, t)
 
         # Hot-path constants and lookups, bound once.
@@ -320,10 +308,20 @@ class NetworkSimulator:
         """
         # Start each source exactly once, even across paused/resumed runs —
         # re-starting would schedule a duplicate injection chain on top of
-        # the pending one left in the queue by run(until=...).
-        for src in self._sources[self._n_sources_started:]:
-            src.start(self)
-        self._n_sources_started = len(self._sources)
+        # the pending one left in the queue by run(until=...).  One bulk
+        # draw covers every new source; each then replays its own rows.
+        new = self._sources[self._n_sources_started:]
+        if new:
+            from repro.sim.traffic import predraw_sources
+
+            t_inj, dst_ep, counts = predraw_sources(new, self.config)
+            times = t_inj.tolist()
+            dsts = dst_ep.tolist()
+            at = 0
+            for src, k in zip(new, counts.tolist()):
+                src.start(self, times[at:at + k], dsts[at:at + k])
+                at += k
+            self._n_sources_started = len(self._sources)
         t_stop = math.inf if until is None else until
         ev_cap = sys.maxsize if max_events is None else max_events
         events = self._events

@@ -34,14 +34,14 @@ def _require_pow2(n_ranks: int) -> int:
 class TrafficPattern:
     """Base: rank-to-rank destination map.
 
-    ``stochastic`` tells :class:`OpenLoopSource` whether :meth:`destination`
-    consumes randomness per packet.  It defaults to True — the safe
-    assumption for subclasses, which then keep the one-``destination``-call-
-    per-packet contract.  Patterns declaring ``stochastic = False`` get
-    their single fixed destination resolved once per source; stochastic
-    patterns may additionally override :meth:`destination_from_u` to accept
-    a pre-drawn uniform instead of paying one generator call per packet
-    (see ``docs/performance.md``).
+    ``stochastic`` tells :func:`predraw_sources` whether
+    :meth:`destination` consumes randomness per packet.  It defaults to
+    True — the safe assumption for subclasses, which then get one
+    ``destination`` call per packet.  Patterns declaring
+    ``stochastic = False`` get their single fixed destination resolved once
+    per source; stochastic patterns may additionally override
+    :meth:`destinations_from_u` to map pre-drawn uniforms in bulk instead
+    of paying one generator call per packet (see ``docs/performance.md``).
     """
 
     name = "abstract"
@@ -53,37 +53,24 @@ class TrafficPattern:
     def destination(self, src: int, rng: np.random.Generator) -> int:
         raise NotImplementedError
 
-    def destination_from_u(self, src: int, u: float) -> int:
-        """Destination given one pre-drawn uniform in [0, 1).
+    def destinations_from_u(self, src: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """Destinations of the ranks ``src``, given one pre-drawn uniform in
+        [0, 1) per packet (equal-length arrays).
 
-        Optional fast path: stochastic patterns that override this
-        (consistently with :meth:`destination`) let the open-loop source
-        batch its destination draws.
+        Optional fast path: a stochastic pattern overriding this must map
+        each uniform exactly as :meth:`destination` maps a generator whose
+        bounded draw realises it.
         """
         raise NotImplementedError
 
-    def destinations_from_u(self, src: np.ndarray, u: np.ndarray) -> np.ndarray:
-        """:meth:`destination_from_u` over equal-length arrays (the bulk
-        predraw's form).  The default maps the scalar form pair by pair;
-        a pattern overriding both keeps them consistent."""
-        return np.fromiter(
-            map(self.destination_from_u, src.tolist(), u.tolist()),
-            dtype=np.int64, count=len(u),
-        )
-
     @property
     def batches_destinations(self) -> bool:
-        """True when this pattern is on the batched destination fast path.
-
-        One definition shared by ``OpenLoopSource.start`` and
-        :func:`predraw_sources`: the two must classify a pattern
-        identically or the event and batched engines' RNG draw orders
-        silently desynchronise.
-        """
+        """True when this pattern is on the bulk destination fast path: it
+        is stochastic and overrides :meth:`destinations_from_u`."""
         return (
             self.stochastic
-            and type(self).destination_from_u
-            is not TrafficPattern.destination_from_u
+            and type(self).destinations_from_u
+            is not TrafficPattern.destinations_from_u
         )
 
 
@@ -95,14 +82,9 @@ class UniformRandomTraffic(TrafficPattern):
         dst = int(rng.integers(self.n_ranks - 1))
         return dst if dst < src else dst + 1  # uniform over ranks != src
 
-    def destination_from_u(self, src: int, u: float) -> int:
-        dst = int(u * (self.n_ranks - 1))
-        return dst if dst < src else dst + 1  # uniform over ranks != src
-
     def destinations_from_u(self, src: np.ndarray, u: np.ndarray) -> np.ndarray:
-        # Same float multiply and truncation toward zero as the scalar form.
         dst = (u * (self.n_ranks - 1)).astype(np.int64)
-        return dst + (dst >= src)
+        return dst + (dst >= src)  # uniform over ranks != src
 
 
 class BitShuffleTraffic(TrafficPattern):
@@ -211,6 +193,8 @@ class OpenLoopSource:
 
     Fires ``packets_per_rank`` packets with exponential interarrivals whose
     mean realises ``offered_load`` (fraction of endpoint link bandwidth).
+    The schedule is drawn by :func:`predraw_sources`, the one draw both
+    engines share; on the event engine the source only replays its rows.
     """
 
     def __init__(
@@ -230,7 +214,7 @@ class OpenLoopSource:
         self.pattern = pattern
         self.rank_to_endpoint = rank_to_endpoint
         self.offered_load = offered_load
-        self.remaining = packets_per_rank
+        self.packets = packets_per_rank
         self.rng = as_rng(seed)
 
     def predraw(self, config) -> tuple[np.ndarray, np.ndarray]:
@@ -238,68 +222,29 @@ class OpenLoopSource:
 
         Returns ``(t_inject, dst_ep)`` for every packet this source will
         ever fire: the one-source call of :func:`predraw_sources`, whose
-        contract it shares.  Call it *instead of* ``start()``, never after.
+        contract it shares.  It consumes the source's generator, so a
+        source is drawn once: by this call or by the engine it is added to.
         """
         t, dst_ep, _ = predraw_sources([self], config)
         return t, dst_ep
 
-    def start(self, net) -> None:
-        mean_gap = net.config.packet_bytes / (
-            self.offered_load * net.config.bytes_per_ns
-        )
-        self._mean_gap = mean_gap
-        if self.remaining <= 0:
-            return
-        # Pre-draw every interarrival gap (and, for stochastic patterns,
-        # every destination uniform) in one generator call each: one
-        # ``rng.exponential(size=k)`` costs about as much as two scalar
-        # draws.  Draw order differs from one-draw-per-fire, statistics
-        # do not; runs stay deterministic per seed.
-        self._gaps = self.rng.exponential(mean_gap, size=self.remaining).tolist()
-        self._gap_i = 0
-        pattern = self.pattern
-        # Pre-drawn destination uniforms only for stochastic patterns that
-        # opted into the batched fast path by overriding destination_from_u;
-        # other stochastic subclasses keep the legacy one-destination()-call-
-        # per-packet contract.
-        self._dst_u = (
-            self.rng.random(self.remaining).tolist()
-            if pattern.batches_destinations
-            else None
-        )
-        self._ep_of_rank = (
-            self.rank_to_endpoint.tolist()
-            if isinstance(self.rank_to_endpoint, np.ndarray)
-            else list(self.rank_to_endpoint)
-        )
-        # Deterministic patterns map each rank to one fixed destination:
-        # resolve it once instead of once per packet.
-        self._fixed_dst_ep = (
-            None
-            if pattern.stochastic
-            else self._ep_of_rank[pattern.destination(self.rank, self.rng)]
-        )
-        net.schedule_inject(self._gaps[0], self)
+    def start(self, net, times: list[float], dsts: list[int]) -> None:
+        """Replay this source's predrawn rows on the event engine: queue
+        the first injection (none for a source without packets)."""
+        self._times = times
+        self._dsts = dsts
+        self._next = 0
+        if times:
+            net.schedule_inject(times[0], self)
 
     def fire(self, net, t: float) -> None:
-        if self.remaining <= 0:
-            return
-        self.remaining -= 1
-        i = self._gap_i
-        dst_ep = self._fixed_dst_ep
-        if dst_ep is None:
-            if self._dst_u is not None:
-                dst_rank = self.pattern.destination_from_u(
-                    self.rank, self._dst_u[i]
-                )
-            else:  # stochastic pattern without the batched fast path
-                dst_rank = self.pattern.destination(self.rank, self.rng)
-            dst_ep = self._ep_of_rank[dst_rank]
-        net.send(self.endpoint, dst_ep, t=t)
-        if self.remaining > 0:
-            self._gap_i = i + 1
+        i = self._next
+        net.send(self.endpoint, self._dsts[i], t=t)
+        i += 1
+        if i < len(self._times):
+            self._next = i
             # Inlined net.schedule_inject (one call per packet saved).
-            heappush(net._events, (t + self._gaps[i + 1], next(net._seq),
+            heappush(net._events, (self._times[i], next(net._seq),
                                    _INJECT, self))
 
 
@@ -312,25 +257,25 @@ def predraw_sources(
     destination endpoints of every packet the sources will ever fire,
     source after source in ``sources`` order and in firing order within a
     source, which fires ``counts[i]`` of them.  Self-sends are kept; the
-    caller drops them.  The batch-synchronous backend
-    (:mod:`repro.sim.batched`) injects from these arrays instead of firing
-    ``_INJECT`` events.
+    caller drops them.  This is the only place a schedule is drawn: the
+    event engine's ``run()`` calls it once over the sources it has not
+    started and hands each source its rows, and the batch-synchronous
+    backend (:mod:`repro.sim.batched`) injects from the arrays directly, so
+    at equal seeds both engines inject the same packets at the same times
+    toward the same destinations.
 
-    Each source's generator is drawn in exactly the order of
-    :meth:`OpenLoopSource.start` + :meth:`OpenLoopSource.fire`: one
+    Each source's generator is drawn in a fixed order: one
     ``exponential(size=k)`` block, then one ``random(k)`` block for a
-    pattern on the batched fast path, or the pattern's ``destination()``
+    pattern on the bulk fast path, or the pattern's ``destination()``
     calls otherwise (once for a deterministic pattern, once per packet for
-    a legacy stochastic one).  So for a fixed seed the event and batched
-    engines inject the same packets at the same times toward the same
-    destinations (pinned by ``tests/test_property_traffic.py``).  That
-    per-source draw is the only Python loop; the rest runs over all packets
-    at once.  Destinations go through
+    any other stochastic one).  That per-source draw is the only Python
+    loop; the rest runs over all packets at once.  Destinations go through
     :meth:`TrafficPattern.destinations_from_u`.  Injection times are a
     row-wise ``np.cumsum`` of the zero-padded ``(source, packet)`` gap
-    matrix: ``cumsum`` adds left to right, the same float operations as
-    the event engine's one ``t + gap`` per fire, so the times are
-    bit-identical.  Consumes the sources' generators.
+    matrix; ``cumsum`` adds left to right, so each time is the sum of its
+    source's gaps added one at a time (pinned against that sequential
+    reference by ``tests/test_property_traffic.py``).  Consumes the
+    sources' generators.
     """
     packet_bytes = config.packet_bytes
     bytes_per_ns = config.bytes_per_ns
@@ -339,7 +284,8 @@ def predraw_sources(
     legacy: list[int] = []
     # Per source: its packet count, its fixed destination rank
     # (deterministic patterns), its kind — the id() of its fast-path
-    # pattern, -1 deterministic, -2 legacy — and the id() of its rank map.
+    # pattern, -1 deterministic, -2 per-packet destination() — and the
+    # id() of its rank map.
     counts = [0] * len(sources)
     fixed = [0] * len(sources)
     kind = [-1] * len(sources)
@@ -347,7 +293,7 @@ def predraw_sources(
     fast: dict[int, TrafficPattern] = {}
     maps: dict[int, np.ndarray | list[int]] = {}
     for i, s in enumerate(sources):
-        k = s.remaining
+        k = s.packets
         if k <= 0:
             continue
         counts[i] = k
@@ -361,7 +307,7 @@ def predraw_sources(
             us.append(rng.random(k))
             kind[i] = id(pattern)
             fast[id(pattern)] = pattern
-        else:  # legacy contract: one destination() call per packet, in order
+        else:  # one destination() call per packet, in order
             legacy.extend(pattern.destination(s.rank, rng) for _ in range(k))
             kind[i] = -2
         map_of[i] = id(s.rank_to_endpoint)

@@ -490,7 +490,7 @@ def run_collective(
     from repro.sim import capabilities
     from repro.workloads.runner import run_motif
 
-    backend = backend if backend is not None else config.backend
+    backend = "event" if backend is None else backend
     capabilities.require(backend, capabilities.COLLECTIVES,
                          context="run_collective")
     messages = motif.generate()

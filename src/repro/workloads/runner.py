@@ -42,15 +42,15 @@ def run_motif(
 ) -> dict:
     """Run ``motif`` on ``topo`` and return the stats summary + makespan.
 
-    ``backend`` selects the engine (``None`` defers to ``config.backend``,
-    whose default is the event reference).  ``messages`` optionally passes
-    a pre-generated ``motif.generate()`` list — the benchmark harness uses
-    it to keep workload generation out of the timed engine run.
+    ``backend`` selects the engine (``None`` means ``"event"``, the
+    reference).  ``messages`` optionally passes a pre-generated
+    ``motif.generate()`` list — the benchmark harness uses it to keep
+    workload generation out of the timed engine run.
     ``collect_delivery_times`` adds ``t_delivered_ns`` to the summary: the
     per-message delivery instant indexed by mid (the collective runner
     assembles per-chunk completion times from it).
     """
-    backend = backend if backend is not None else config.backend
+    backend = "event" if backend is None else backend
     capabilities.require(backend, capabilities.MOTIFS, context="run_motif")
     if messages is None:
         messages = motif.generate()

@@ -51,7 +51,6 @@ def _fresh_engine(parts) -> BatchedSimulator:
     # packed key is a deterministic function of the packet.
     n = 128
     net._msg_sizes = np.full(n, 64, dtype=np.int64)
-    net._cl_tau = net._tau
     net._t_arr = np.zeros(n)
     net._w_comb = np.empty(0, dtype=np.int64)
     net._w_idx = np.empty(0, dtype=np.int64)
@@ -108,9 +107,9 @@ class TestWaitingSetPermutationInvariance:
         def run(order):
             net = _fresh_engine(parts)
             # Arrival time within the cycle encodes the tie-break exactly.
-            t0 = (cycle - 1) * net._cl_tau
+            t0 = (cycle - 1) * net._tau
             for pid, off in zip(range(n), offsets):
-                net._t_arr[pid] = t0 + net._cl_tau * (
+                net._t_arr[pid] = t0 + net._tau * (
                     off / (_ENQ_MASK - 1)
                 )
             chunks = np.array_split(np.asarray(order, dtype=np.int64),
@@ -137,7 +136,7 @@ class TestWaitingSetPermutationInvariance:
         n = len(ports_l)
         net = _fresh_engine(parts)
         for pid, off in zip(range(n), offsets):
-            net._t_arr[pid] = 2 * net._cl_tau * (off / (_ENQ_MASK - 1))
+            net._t_arr[pid] = 2 * net._tau * (off / (_ENQ_MASK - 1))
         chunks = np.array_split(np.asarray(perm, dtype=np.int64), n_chunks)
         _enqueue_all(net, np.arange(n, dtype=np.int64),
                      np.asarray(ports_l, dtype=np.int64), 2, chunks)

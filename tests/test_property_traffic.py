@@ -1,23 +1,26 @@
-"""Property tests pinning the batched traffic fast path.
+"""Property tests pinning the one open-loop traffic draw.
 
-Two contracts keep the event and batched engines injecting *identical*
-traffic at equal seeds:
+``predraw_sources`` is the only code that draws an open-loop schedule: the
+batched engine injects from its arrays and the event engine's sources
+replay its rows.  Three contracts pin it:
 
 1. **Rank-for-rank draw equivalence.**  For every stochastic pattern that
-   opts into the batched fast path by overriding ``destination_from_u``,
-   mapping one pre-drawn uniform through ``destination_from_u`` must give
-   the same destination as ``destination()`` fed a generator whose bounded
-   draw realises that same uniform.  (The two code paths must agree on the
+   opts into the bulk fast path by overriding ``destinations_from_u``,
+   mapping pre-drawn uniforms through ``destinations_from_u`` must give
+   the same destinations as ``destination()`` fed a generator whose
+   bounded draw realises those same uniforms.  (The two must agree on the
    *mapping* from raw draw to destination — the skip-self adjustment, the
    range — for every ``(n_ranks, src, u)``.)
-2. **Predraw equals live firing.**  ``OpenLoopSource.predraw`` must emit
-   exactly the (injection time, destination endpoint) sequence that
-   ``start()`` + ``fire()`` produce against a live simulator, for every
-   pattern kind (deterministic, fast-path stochastic, and legacy
-   stochastic subclasses without ``destination_from_u``).  The bulk
-   ``predraw_sources`` must do the same for every source of a mixed
-   batch at once, and its vectorized ``destinations_from_u`` must map
-   uniforms exactly like the scalar form.
+2. **Predraw equals a sequential reference.**  ``OpenLoopSource.predraw``
+   and the bulk ``predraw_sources`` over a mixed batch must emit exactly
+   the (injection time, destination endpoint) sequence of a test-local
+   reference: a fresh generator per source, its gaps added one at a
+   time, then its destinations by pattern kind (deterministic, fast-path
+   stochastic, and stochastic subclasses without ``destinations_from_u``).
+3. **The event engine replays the predraw.**  The ``send()`` calls of an
+   event run are ``predraw_sources`` over identically built sources,
+   packet for packet with bit-identical times, self-sends and sources
+   added after a ``run(until=...)`` pause included.
 """
 
 from __future__ import annotations
@@ -27,7 +30,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim.network import SimConfig
+from repro.routing import RoutingTables, make_routing
+from repro.sim.network import NetworkSimulator, SimConfig
 from repro.sim.traffic import (
     _PATTERNS,
     OpenLoopSource,
@@ -36,14 +40,15 @@ from repro.sim.traffic import (
     make_traffic,
     predraw_sources,
 )
+from repro.topology import build_lps
 
-#: Every registered stochastic pattern on the batched fast path (today:
+#: Every registered stochastic pattern on the bulk fast path (today:
 #: uniform random; the parametrisation picks up future ones by itself).
 FAST_PATH_PATTERNS = [
     cls
     for cls in _PATTERNS.values()
     if cls.stochastic
-    and cls.destination_from_u is not TrafficPattern.destination_from_u
+    and cls.destinations_from_u is not TrafficPattern.destinations_from_u
 ]
 
 
@@ -71,96 +76,56 @@ class _UniformStub:
         return int(u * int(m))
 
 
+_UNIT = st.floats(min_value=0.0, max_value=1.0, exclude_max=True)
+
+
 @pytest.mark.parametrize("cls", FAST_PATH_PATTERNS, ids=lambda c: c.name)
 @given(
     n_ranks=st.integers(min_value=2, max_value=4096),
-    src_frac=st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
-    us=st.lists(
-        st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
-        min_size=1,
-        max_size=32,
-    ),
+    pairs=st.lists(st.tuples(_UNIT, _UNIT), max_size=32),
 )
 @settings(max_examples=200, deadline=None)
-def test_destination_from_u_matches_destination_rank_for_rank(
-    cls, n_ranks, src_frac, us
+def test_destinations_from_u_matches_destination_rank_for_rank(
+    cls, n_ranks, pairs
 ):
+    # Element for element, per-packet sources included (and the empty
+    # batch).
     pattern = cls(n_ranks)
-    src = int(src_frac * n_ranks)
+    src = [int(f * n_ranks) for f, _ in pairs]
+    us = [u for _, u in pairs]
+    bulk = pattern.destinations_from_u(
+        np.array(src, dtype=np.int64), np.array(us, dtype=np.float64)
+    )
+    assert bulk.dtype == np.int64 and len(bulk) == len(pairs)
     stub = _UniformStub(us)
-    for u in us:
-        via_u = pattern.destination_from_u(src, u)
-        via_rng = pattern.destination(src, stub)
-        assert via_u == via_rng, (n_ranks, src, u)
+    for s, u, via_u in zip(src, us, bulk.tolist()):
+        via_rng = pattern.destination(s, stub)
+        assert via_u == via_rng, (n_ranks, s, u)
         # ... and both land in range, never on the source itself.
         assert 0 <= via_u < n_ranks
-        assert via_u != src
+        assert via_u != s
 
 
-@pytest.mark.parametrize("cls", FAST_PATH_PATTERNS, ids=lambda c: c.name)
-@given(
-    n_ranks=st.integers(min_value=2, max_value=4096),
-    pairs=st.lists(
-        st.tuples(
-            st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
-            st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
-        ),
-        max_size=32,
-    ),
-)
-@settings(max_examples=200, deadline=None)
-def test_destinations_from_u_matches_scalar_form(cls, n_ranks, pairs):
-    # The bulk predraw's array form against the event engine's per-packet
-    # scalar form, element for element (including the empty batch).
-    pattern = cls(n_ranks)
-    src = np.array([int(f * n_ranks) for f, _ in pairs], dtype=np.int64)
-    us = np.array([u for _, u in pairs], dtype=np.float64)
-    bulk = pattern.destinations_from_u(src, us)
-    assert bulk.dtype == np.int64
-    assert bulk.tolist() == [
-        pattern.destination_from_u(int(s), float(u))
-        for s, u in zip(src, us)
-    ]
-
-
-def test_default_destinations_from_u_maps_the_scalar_form():
-    class Offset(TrafficPattern):
-        def destination_from_u(self, src, u):
-            return (src + 1 + int(u * 3)) % self.n_ranks
-
-    pattern = Offset(8)
-    got = pattern.destinations_from_u(
-        np.array([0, 7, 3]), np.array([0.0, 0.5, 0.99])
-    )
-    assert got.tolist() == [1, 1, 6]
-
-
-@given(
-    n_ranks=st.integers(min_value=2, max_value=1024),
-    src_frac=st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
-    u=st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
-)
+@given(n_ranks=st.integers(min_value=2, max_value=1024), src_frac=_UNIT, u=_UNIT)
 @settings(max_examples=200, deadline=None)
 def test_uniform_random_covers_every_destination(n_ranks, src_frac, u):
     # Surjectivity over the uniform: int(u * (n-1)) with the skip-self
     # shift reaches every rank except src as u sweeps [0, 1).
     pattern = UniformRandomTraffic(n_ranks)
     src = int(src_frac * n_ranks)
-    dst = pattern.destination_from_u(src, u)
+    dst = int(pattern.destinations_from_u(np.array([src]), np.array([u]))[0])
     assert 0 <= dst < n_ranks and dst != src
     if n_ranks <= 64:
-        seen = {
-            pattern.destination_from_u(src, k / (4 * n_ranks))
-            for k in range(4 * n_ranks)
-        }
-        assert seen == set(range(n_ranks)) - {src}
+        sweep = np.arange(4 * n_ranks) / (4 * n_ranks)
+        seen = pattern.destinations_from_u(np.full(len(sweep), src), sweep)
+        assert set(seen.tolist()) == set(range(n_ranks)) - {src}
 
 
 # ---------------------------------------------------------------------------
-# predraw == start()/fire(): the injection schedules of the two engines.
+# predraw == a sequential reference, one source at a time.
 # ---------------------------------------------------------------------------
 class _TwoHotspots(TrafficPattern):
-    """Legacy-contract stochastic pattern (no destination_from_u)."""
+    """Stochastic pattern without the fast path: draws ranks 0/1 per packet."""
 
     name = "two-hotspots"
 
@@ -168,32 +133,26 @@ class _TwoHotspots(TrafficPattern):
         return int(rng.integers(2))
 
 
-class _RecordingNet:
-    """Just enough of the NetworkSimulator surface to drive one source."""
-
-    def __init__(self, config):
-        self.config = config
-        self.sent: list[tuple[float, int]] = []
-        self._events: list = []
-        self._seq = iter(range(10**9))
-
-    def schedule_inject(self, t, source):
-        self._events.append((t, source))
-
-    def send(self, src_ep, dst_ep, size=None, tag=None, t=None):  # noqa: ARG002
-        self.sent.append((t, dst_ep))
-
-    def drive(self):
-        """Fire scheduled injections in order until the source is done.
-
-        ``start()`` goes through ``schedule_inject`` ((t, source) pairs);
-        ``fire()`` pushes the simulator's flat ``(t, seq, kind, source)``
-        event tuples straight onto ``_events`` — accept both shapes.
-        """
-        while self._events:
-            self._events.sort(key=lambda ev: ev[0])
-            ev = self._events.pop(0)
-            ev[-1].fire(self, ev[0])
+def _reference_schedule(pattern, rank, r2e, load, k, seed, config):
+    """One source's schedule drawn the slow way, independently of
+    ``predraw_sources``: a fresh generator, its gaps accumulated one
+    addition at a time, then its destinations by pattern kind (fast-path
+    uniforms mapped through ``destination()`` and the uniform stub)."""
+    rng = np.random.default_rng(seed)
+    mean_gap = config.packet_bytes / (load * config.bytes_per_ns)
+    times = []
+    acc = 0.0
+    for gap in rng.exponential(mean_gap, size=k).tolist():
+        acc += gap
+        times.append(acc)
+    if not pattern.stochastic:
+        dst = [pattern.destination(rank, rng)] * k
+    elif pattern.batches_destinations:
+        stub = _UniformStub(rng.random(k).tolist())
+        dst = [pattern.destination(rank, stub) for _ in range(k)]
+    else:
+        dst = [pattern.destination(rank, rng) for _ in range(k)]
+    return times, [int(r2e[d]) for d in dst]
 
 
 def _pattern_cases():
@@ -209,38 +168,29 @@ def _pattern_cases():
     "name,factory", _pattern_cases(), ids=lambda c: c if isinstance(c, str) else ""
 )
 @pytest.mark.parametrize("seed", [0, 3, 11])
-def test_predraw_matches_live_firing(name, factory, seed):
+def test_predraw_matches_sequential_reference(name, factory, seed):
     n_ranks = 16
     rank = 5
     k = 12
     config = SimConfig(concentration=2)
     r2e = np.arange(n_ranks, dtype=np.int64) * 3  # arbitrary placement
+    pattern = factory(n_ranks)
+    src = OpenLoopSource(rank, int(r2e[rank]), pattern, r2e, 0.4, k, seed=seed)
 
-    def build():
-        return OpenLoopSource(
-            rank, int(r2e[rank]), factory(n_ranks), r2e, 0.4, k, seed=seed
-        )
+    t_pre, dst_pre = src.predraw(config)
 
-    t_pre, dst_pre = build().predraw(config)
-
-    net = _RecordingNet(config)
-    src = build()
-    src.start(net)
-    net.drive()
-
-    assert len(net.sent) == k == len(t_pre)
-    live_t = [t for t, _ in net.sent]
-    live_dst = [d for _, d in net.sent]
+    ref_t, ref_dst = _reference_schedule(pattern, rank, r2e, 0.4, k, seed, config)
+    assert len(t_pre) == k
     # Bit-identical times (same draws, same accumulation order) and
     # identical destinations, packet for packet.
-    assert live_t == t_pre.tolist()
-    assert live_dst == dst_pre.tolist()
+    assert t_pre.tolist() == ref_t
+    assert dst_pre.tolist() == ref_dst
 
 
 def test_predraw_consumes_the_source_rng():
-    # predraw replaces start(): it advances the same generator, so calling
-    # it twice on one source must NOT replay the schedule (a second call
-    # would silently desynchronise the engines).
+    # predraw advances the source's own generator, so calling it twice on
+    # one source must NOT replay the schedule (a second draw of a source
+    # is a different schedule, never a copy).
     n_ranks = 8
     r2e = np.arange(n_ranks, dtype=np.int64)
     src = OpenLoopSource(
@@ -253,9 +203,15 @@ def test_predraw_consumes_the_source_rng():
 
 
 # ---------------------------------------------------------------------------
-# predraw_sources over a mixed batch == every source fired live, one by one.
+# predraw_sources over a mixed batch == every source's reference, in order.
 # ---------------------------------------------------------------------------
 _MIXED_N_RANKS = 16
+
+#: Two rank -> endpoint maps with disjoint endpoint ranges.
+_MAPS = (
+    np.arange(_MIXED_N_RANKS, dtype=np.int64) * 3,
+    np.arange(_MIXED_N_RANKS, dtype=np.int64)[::-1] + 100,
+)
 
 
 def _mixed_patterns():
@@ -270,50 +226,39 @@ def _mixed_patterns():
     }
 
 
-def _sequential_times(seed, mean_gap, k):
-    """Reference injection times: a fresh generator's gaps, accumulated
-    one addition at a time (the event engine's float order)."""
-    gaps = np.random.default_rng(seed).exponential(mean_gap, size=k)
-    t = []
-    acc = 0.0
-    for g in gaps.tolist():
-        acc += g
-        t.append(acc)
-    return t
-
-
-@given(
-    specs=st.lists(
+def _spec_strategy(**list_kw):
+    """(pattern, rank, packets_per_rank, seed, load, which map) tuples."""
+    return st.lists(
         st.tuples(
             st.sampled_from(sorted(_mixed_patterns())),
             st.integers(min_value=0, max_value=_MIXED_N_RANKS - 1),  # rank
             st.sampled_from([0, 1, 2, 7]),  # packets_per_rank
             st.integers(min_value=0, max_value=2**31),  # seed
             st.sampled_from([0.1, 0.4, 1.0]),  # offered load
-            st.booleans(),  # which rank -> endpoint map
+            st.sampled_from([0, 1]),  # which rank -> endpoint map
         ),
         min_size=1,
         max_size=12,
+        **list_kw,
     )
-)
+
+
+def _build(spec, patterns):
+    name, rank, k, seed, load, which = spec
+    r2e = _MAPS[which]
+    return OpenLoopSource(
+        rank, int(r2e[rank]), patterns[name], r2e, load, k, seed=seed
+    )
+
+
+@given(specs=_spec_strategy())
 @settings(max_examples=60, deadline=None)
-def test_bulk_predraw_matches_per_source_live_firing(specs):
+def test_bulk_predraw_matches_per_source_sequential_reference(specs):
     config = SimConfig(concentration=2)
     patterns = _mixed_patterns()
-    maps = (
-        np.arange(_MIXED_N_RANKS, dtype=np.int64) * 3,
-        np.arange(_MIXED_N_RANKS, dtype=np.int64)[::-1] + 100,
-    )
-
-    def build(spec):
-        name, rank, k, seed, load, which = spec
-        r2e = maps[which]
-        return OpenLoopSource(
-            rank, int(r2e[rank]), patterns[name], r2e, load, k, seed=seed
-        )
 
     t_bulk, dst_bulk, counts = predraw_sources(
-        [build(spec) for spec in specs], config
+        [_build(spec, patterns) for spec in specs], config
     )
     assert counts.tolist() == [spec[2] for spec in specs]
     assert len(t_bulk) == len(dst_bulk) == int(counts.sum())
@@ -321,20 +266,15 @@ def test_bulk_predraw_matches_per_source_live_firing(specs):
 
     at = 0
     for spec, k in zip(specs, counts.tolist()):
-        net = _RecordingNet(config)
-        src = build(spec)
-        src.start(net)
-        net.drive()
-        assert len(net.sent) == k
-        live_t = [t for t, _ in net.sent]
-        live_dst = [d for _, d in net.sent]
-        # Bit-identical times and identical destinations, packet for
-        # packet, self-sends included (the engine filters those).
-        assert t_bulk[at : at + k].tolist() == live_t
-        assert dst_bulk[at : at + k].tolist() == live_dst
-        # The row-wise cumsum is the sequential accumulation.
-        mean_gap = config.packet_bytes / (spec[4] * config.bytes_per_ns)
-        assert live_t == _sequential_times(spec[3], mean_gap, k)
+        name, rank, _, seed, load, which = spec
+        ref_t, ref_dst = _reference_schedule(
+            patterns[name], rank, _MAPS[which], load, k, seed, config
+        )
+        # The row-wise cumsum is the sequential accumulation, bit for bit;
+        # destinations agree packet for packet, self-sends included (the
+        # engines filter those).
+        assert t_bulk[at : at + k].tolist() == ref_t
+        assert dst_bulk[at : at + k].tolist() == ref_dst
         at += k
 
 
@@ -358,3 +298,97 @@ def test_bulk_predraw_of_no_packets():
     t, dst, counts = predraw_sources([src], SimConfig())
     assert (len(t), len(dst), counts.tolist()) == (0, 0, [0])
     assert dst.dtype == np.int64
+
+
+# ---------------------------------------------------------------------------
+# The event engine's send() sequence == predraw_sources, packet for packet.
+# ---------------------------------------------------------------------------
+@pytest.fixture(scope="module")
+def engine_parts():
+    topo = build_lps(3, 5)  # 120 routers: 240 endpoints at concentration 2
+    return topo, RoutingTables(topo.graph)
+
+
+def _recording_engine(engine_parts):
+    """An event engine whose ``send()`` calls are logged per source
+    endpoint as ``(t, dst_ep)``, self-sends included."""
+    topo, tables = engine_parts
+    net = NetworkSimulator(
+        topo, make_routing("minimal", tables, seed=0),
+        SimConfig(concentration=2), tables=tables,
+    )
+    sent: dict[int, list[tuple[float, int]]] = {}
+    send = net.send
+
+    def recording(src_ep, dst_ep, size=None, tag=None, t=None):
+        sent.setdefault(src_ep, []).append((t, dst_ep))
+        return send(src_ep, dst_ep, size=size, tag=tag, t=t)
+
+    net.send = recording
+    return net, sent
+
+
+def _assert_replayed(sent, batches, config):
+    """Every source of ``batches`` (lists of identically built twins) sent
+    exactly its rows of one ``predraw_sources`` call per batch."""
+    n_rows = 0
+    for twins in batches:
+        t, dst, counts = predraw_sources(twins, config)
+        at = 0
+        for src, k in zip(twins, counts.tolist()):
+            rows = list(zip(t[at : at + k].tolist(), dst[at : at + k].tolist()))
+            assert sent.get(src.endpoint, []) == rows, src.rank
+            at += k
+        n_rows += at
+    assert sum(map(len, sent.values())) == n_rows
+
+
+@given(specs=_spec_strategy(unique_by=lambda spec: spec[1]))
+@settings(max_examples=30, deadline=None)
+def test_event_run_replays_the_bulk_predraw(engine_parts, specs):
+    # One source per rank, so endpoints are distinct; every pattern kind
+    # is drawn, and shuffle at ranks 0/15 and two-hotspots at ranks 0/1
+    # send to themselves.
+    net, sent = _recording_engine(engine_parts)
+    patterns = _mixed_patterns()
+    for spec in specs:
+        net.add_open_loop_source(_build(spec, patterns))
+    stats = net.run()
+
+    twins = [_build(spec, _mixed_patterns()) for spec in specs]
+    _assert_replayed(sent, [twins], net.config)
+    n_self = sum(
+        dst == ep for ep, rows in sent.items() for _, dst in rows
+    )
+    assert stats.n_injected == len(stats.latencies_ns) == (
+        sum(map(len, sent.values())) - n_self
+    )
+
+
+def test_source_added_after_a_pause_replays_its_rows(engine_parts):
+    net, sent = _recording_engine(engine_parts)
+    first = [  # (pattern, rank, packets_per_rank, seed, load, which map)
+        ("random", 2, 7, 5, 0.4, 0),
+        ("shuffle", 0, 7, 6, 0.4, 0),  # shuffles to itself
+        ("tornado", 3, 7, 7, 1.0, 1),
+        ("legacy-stochastic", 1, 7, 8, 0.4, 1),
+    ]
+    later = [("random-2", 5, 7, 9, 0.4, 0), ("shuffle", 15, 2, 10, 0.1, 1)]
+    patterns = _mixed_patterns()
+    for spec in first:
+        net.add_open_loop_source(_build(spec, patterns))
+    net.run(until=500.0)
+    paused = sum(map(len, sent.values()))
+    assert 0 < paused < 4 * 7  # paused mid-schedule
+    for spec in later:
+        net.add_open_loop_source(_build(spec, patterns))
+    net.run()
+
+    twins = _mixed_patterns()
+    _assert_replayed(
+        sent,
+        [[_build(s, twins) for s in first], [_build(s, twins) for s in later]],
+        net.config,
+    )
+    # A resumed run starts the earlier sources once, never twice.
+    assert len(sent[int(_MAPS[0][2])]) == 7

@@ -235,15 +235,6 @@ class TestUnsupportedFeaturesFailLoudly:
         with pytest.raises(ParameterError, match="unknown simulator backend"):
             _net(parts, "threaded")
 
-    def test_config_backend_field_is_honoured(self, parts):
-        topo, _ = parts
-        net = build_synthetic_sim(
-            topo, "minimal", "random", 0.5, concentration=2, n_ranks=16,
-            packets_per_rank=2, seed=0,
-            config=SimConfig(concentration=2, backend="batched"),
-        )
-        assert isinstance(net, BatchedSimulator)
-
 
 class TestCycleBudget:
     """Runs longer than the 2**20-cycle budget refuse with a pointer to the

@@ -218,17 +218,23 @@ class TestMatrixDeclaration:
         # Someone must support every feature (the event engine at least).
         assert "event" in good
 
-    def test_unknown_backend_is_rejected_everywhere(self):
+    def test_unknown_backend_is_rejected_everywhere(self, parts):
+        def build(backend):
+            return build_synthetic_sim(
+                parts[0], "minimal", "random", 0.5, concentration=2,
+                n_ranks=16, packets_per_rank=2, backend=backend,
+            )
+
         with pytest.raises(BackendCapabilityError, match="unknown"):
             cap.check_backend("threaded")
         with pytest.raises(BackendCapabilityError, match="unknown"):
             cap.require("threaded", cap.OPEN_LOOP)
         with pytest.raises(BackendCapabilityError, match="unknown"):
-            SimConfig(backend="threaded")
+            build("threaded")
         # A removed engine's name is just unknown; the options name both.
         with pytest.raises(BackendCapabilityError,
                            match="unknown.*options: event, batched$"):
-            SimConfig(backend="sharded")
+            build("sharded")
 
     def test_require_names_the_supported_backends(self):
         with pytest.raises(BackendCapabilityError) as exc:

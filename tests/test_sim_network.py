@@ -1,5 +1,7 @@
 """Tests for the discrete-event network simulator."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -165,3 +167,24 @@ class TestDeterminism:
 
         a, b = one_run(), one_run()
         assert a == b
+
+
+class TestOpenLoopStart:
+    def test_starting_a_thousand_sources_stays_small(self):
+        # Starting a source is one bulk draw plus its own rows: nothing
+        # per source grows with the rank count (a per-source copy of the
+        # 1,024-entry rank map once cost ~35 MB here).
+        from repro.experiments.common import build_synthetic_sim
+
+        net = build_synthetic_sim(
+            build_lps(11, 7), "minimal", "random", 0.7, concentration=8,
+            n_ranks=1024, packets_per_rank=5, seed=0,
+        )
+        tracemalloc.start()
+        try:
+            net.run(until=0.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(net._events) == 1024  # every source queued its first
+        assert peak < 4 * 2**20, f"{peak / 2**20:.1f} MB"
