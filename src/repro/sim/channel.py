@@ -56,9 +56,33 @@ def packet_key(src_ep, seq):
 
 def _mix(x: np.ndarray) -> np.ndarray:
     """splitmix64 finalizer on uint64 arrays (wraps silently, no state)."""
-    x = (x ^ (x >> np.uint64(30))) * _M1
-    x = (x ^ (x >> np.uint64(27))) * _M2
-    return x ^ (x >> np.uint64(31))
+    x = x ^ (x >> np.uint64(30))
+    x *= _M1
+    x ^= x >> np.uint64(27)
+    x *= _M2
+    x ^= x >> np.uint64(31)
+    return x
+
+
+def _key_hash(seed: int, keys, hops) -> np.ndarray:
+    """The ``(seed, key, hop)`` stage of :func:`channel_uniforms`' hash."""
+    keys = np.asarray(keys, dtype=np.uint64)
+    hops = np.asarray(hops, dtype=np.uint64)
+    with np.errstate(over="ignore"):  # uint64 wraparound is the algorithm
+        h = np.uint64(seed) * _GOLD
+        h = _mix(h ^ (keys * _M1))
+        return _mix(h ^ (hops * _M2))
+
+
+def _attempt_hash(h: np.ndarray, attempt: int) -> np.ndarray:
+    with np.errstate(over="ignore"):
+        return _mix(h ^ (np.uint64(attempt) * _GOLD))
+
+
+def _lane_uniforms(h: np.ndarray, lane: int) -> np.ndarray:
+    with np.errstate(over="ignore"):
+        h = _mix(h ^ (np.uint64(lane) + _GOLD))
+    return (h >> np.uint64(11)).astype(np.float64) * _INV53
 
 
 def channel_uniforms(
@@ -71,15 +95,9 @@ def channel_uniforms(
     draw.  All inputs are consumed as uint64; arrays and scalars mix
     freely (scalars broadcast).
     """
-    keys = np.asarray(keys, dtype=np.uint64)
-    hops = np.asarray(hops, dtype=np.uint64)
-    with np.errstate(over="ignore"):  # uint64 wraparound is the algorithm
-        h = np.uint64(seed) * _GOLD
-        h = _mix(h ^ (keys * _M1))
-        h = _mix(h ^ (hops * _M2))
-        h = _mix(h ^ (np.uint64(attempt) * _GOLD))
-        h = _mix(h ^ (np.uint64(lane) + _GOLD))
-    return (h >> np.uint64(11)).astype(np.float64) * _INV53
+    return _lane_uniforms(
+        _attempt_hash(_key_hash(seed, keys, hops), attempt), lane
+    )
 
 
 @dataclass(frozen=True)
@@ -150,9 +168,9 @@ class ChannelModel:
           (counted even for packets that exhaust the budget).
         """
         cfg = self.config
-        keys = np.asarray(keys, dtype=np.uint64)
-        hops = np.asarray(hops, dtype=np.uint64)
-        n = keys.shape[0]
+        # channel_uniforms, with the (seed, key, hop) stage hashed once.
+        base = _key_hash(cfg.seed, keys, hops)
+        n = base.shape[0]
         delivered = np.zeros(n, dtype=bool)
         extra = np.zeros(n, dtype=np.float64)
         retrans = np.zeros(n, dtype=np.int64)
@@ -160,15 +178,15 @@ class ChannelModel:
         for a in range(cfg.max_attempts):
             if pending.size == 0:
                 break
-            k, h = keys[pending], hops[pending]
+            h = _attempt_hash(base[pending], a)
             if cfg.loss_prob > 0.0:
-                ok = channel_uniforms(cfg.seed, k, h, a, 0) >= cfg.loss_prob
+                ok = _lane_uniforms(h, 0) >= cfg.loss_prob
             else:
                 ok = np.ones(pending.size, dtype=bool)
             # Per-attempt wire overhead beyond the base link latency.
             w = np.full(pending.size, cfg.extra_latency_ns)
             if cfg.jitter_ns > 0.0:
-                w += channel_uniforms(cfg.seed, k, h, a, 1) * cfg.jitter_ns
+                w += _lane_uniforms(h, 1) * cfg.jitter_ns
             succ = pending[ok]
             delivered[succ] = True
             extra[succ] += w[ok]

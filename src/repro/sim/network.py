@@ -167,9 +167,10 @@ class NetworkSimulator:
         self.now = 0.0
         self.stats = SimStats()
         self._sources: list = []  # open-loop traffic sources
-        # Sources already drawn and start()ed by run(), one bulk
-        # predraw_sources call per run() that finds new ones.
-        self._n_sources_started = 0
+        # Set by the first run(), which draws and start()s every source in
+        # one bulk predraw_sources call; a started simulator takes no new
+        # sources (their schedules would begin behind the clock).
+        self._started = False
         self.on_delivery = None  # optional callback(pkt, t)
 
         # Hot-path constants and lookups, bound once.
@@ -277,7 +278,14 @@ class NetworkSimulator:
         return pkt
 
     def add_open_loop_source(self, source) -> None:
-        """Register an open-loop traffic source (see sim.traffic)."""
+        """Register an open-loop traffic source (see sim.traffic).
+
+        Sources are drawn from t = 0 when ``run()`` starts, so they must all
+        be added before it: a source added to a paused run would inject
+        behind the simulated clock.
+        """
+        if self._started:
+            raise SimulationError("add open-loop sources before running")
         self._sources.append(source)
 
     def run(self, until: float | None = None, max_events: int | None = None) -> SimStats:
@@ -306,22 +314,21 @@ class NetworkSimulator:
         (``deadlocked=True``, ``undelivered`` set).  Any other violation
         raises :class:`~repro.errors.SimulationError`.
         """
-        # Start each source exactly once, even across paused/resumed runs —
-        # re-starting would schedule a duplicate injection chain on top of
-        # the pending one left in the queue by run(until=...).  One bulk
-        # draw covers every new source; each then replays its own rows.
-        new = self._sources[self._n_sources_started:]
-        if new:
+        # Start the sources exactly once, on the first run: a paused and
+        # resumed run keeps the injection chains left in the queue by
+        # run(until=...).  One bulk draw covers every source; each then
+        # replays its own rows.
+        if not self._started:
+            self._started = True
             from repro.sim.traffic import predraw_sources
 
-            t_inj, dst_ep, counts = predraw_sources(new, self.config)
+            t_inj, dst_ep, counts = predraw_sources(self._sources, self.config)
             times = t_inj.tolist()
             dsts = dst_ep.tolist()
             at = 0
-            for src, k in zip(new, counts.tolist()):
+            for src, k in zip(self._sources, counts.tolist()):
                 src.start(self, times[at:at + k], dsts[at:at + k])
                 at += k
-            self._n_sources_started = len(self._sources)
         t_stop = math.inf if until is None else until
         ev_cap = sys.maxsize if max_events is None else max_events
         events = self._events

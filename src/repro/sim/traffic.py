@@ -258,11 +258,11 @@ def predraw_sources(
     source after source in ``sources`` order and in firing order within a
     source, which fires ``counts[i]`` of them.  Self-sends are kept; the
     caller drops them.  This is the only place a schedule is drawn: the
-    event engine's ``run()`` calls it once over the sources it has not
-    started and hands each source its rows, and the batch-synchronous
-    backend (:mod:`repro.sim.batched`) injects from the arrays directly, so
-    at equal seeds both engines inject the same packets at the same times
-    toward the same destinations.
+    event engine's first ``run()`` calls it once over all its sources
+    (sources added later are refused) and hands each source its rows, and
+    the batch-synchronous backend (:mod:`repro.sim.batched`) injects from
+    the arrays directly, so at equal seeds both engines inject the same
+    packets at the same times toward the same destinations.
 
     Each source's generator is drawn in a fixed order: one
     ``exponential(size=k)`` block, then one ``random(k)`` block for a

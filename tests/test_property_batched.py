@@ -6,9 +6,9 @@ Two invariants the cycle engine's correctness rests on:
   merges of arrival batches, so the *final sorted state* (and therefore
   every contention winner) must depend only on the packets' packed keys
   (port, enqueue cycle, tie-break), never on the order in which same-cycle
-  batches happened to be merged.  With the closed-loop arrival-time
-  tie-break the key is a pure function of the packet, which makes the
-  property exactly testable: enqueue the same packets as differently
+  batches happened to be merged.  The tie-break field encodes the
+  arrival time within the cycle, so the key is a pure function of the
+  packet, which makes the property exactly testable: enqueue the same packets as differently
   chunked and permuted batches and demand identical waiting sets and
   identical per-port winners.
 * **Conservation across epoch-boundary rewrites** — applying a fault
@@ -47,8 +47,8 @@ def _fresh_engine(parts) -> BatchedSimulator:
         topo, make_routing("minimal", tables, seed=0),
         SimConfig(concentration=2), tables=tables,
     )
-    # Closed-loop tie-break mode: the tie encodes the arrival time, so the
-    # packed key is a deterministic function of the packet.
+    # The tie field encodes the arrival time, so the packed key is a
+    # deterministic function of the packet.
     n = 128
     net._msg_sizes = np.full(n, 64, dtype=np.int64)
     net._t_arr = np.zeros(n)

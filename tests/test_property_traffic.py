@@ -19,8 +19,8 @@ replay its rows.  Three contracts pin it:
    stochastic, and stochastic subclasses without ``destinations_from_u``).
 3. **The event engine replays the predraw.**  The ``send()`` calls of an
    event run are ``predraw_sources`` over identically built sources,
-   packet for packet with bit-identical times, self-sends and sources
-   added after a ``run(until=...)`` pause included.
+   packet for packet with bit-identical times, self-sends included.  A
+   source added once a run has started is refused on both engines.
 """
 
 from __future__ import annotations
@@ -30,7 +30,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.errors import SimulationError
 from repro.routing import RoutingTables, make_routing
+from repro.sim.batched import BatchedSimulator
 from repro.sim.network import NetworkSimulator, SimConfig
 from repro.sim.traffic import (
     _PATTERNS,
@@ -365,30 +367,22 @@ def test_event_run_replays_the_bulk_predraw(engine_parts, specs):
     )
 
 
-def test_source_added_after_a_pause_replays_its_rows(engine_parts):
-    net, sent = _recording_engine(engine_parts)
-    first = [  # (pattern, rank, packets_per_rank, seed, load, which map)
-        ("random", 2, 7, 5, 0.4, 0),
-        ("shuffle", 0, 7, 6, 0.4, 0),  # shuffles to itself
-        ("tornado", 3, 7, 7, 1.0, 1),
-        ("legacy-stochastic", 1, 7, 8, 0.4, 1),
-    ]
-    later = [("random-2", 5, 7, 9, 0.4, 0), ("shuffle", 15, 2, 10, 0.1, 1)]
+@pytest.mark.parametrize("backend", ["event", "batched"])
+def test_source_added_after_run_started_is_refused(engine_parts, backend):
+    # Every source is drawn from t = 0 when run() starts, so a source added
+    # later would inject behind the simulated clock: both engines refuse
+    # it, the event engine also while paused.
+    topo, tables = engine_parts
+    cls = {"event": NetworkSimulator, "batched": BatchedSimulator}[backend]
+    net = cls(topo, make_routing("minimal", tables, seed=0),
+              SimConfig(concentration=2), tables=tables)
     patterns = _mixed_patterns()
-    for spec in first:
-        net.add_open_loop_source(_build(spec, patterns))
-    net.run(until=500.0)
-    paused = sum(map(len, sent.values()))
-    assert 0 < paused < 4 * 7  # paused mid-schedule
-    for spec in later:
-        net.add_open_loop_source(_build(spec, patterns))
-    net.run()
-
-    twins = _mixed_patterns()
-    _assert_replayed(
-        sent,
-        [[_build(s, twins) for s in first], [_build(s, twins) for s in later]],
-        net.config,
-    )
-    # A resumed run starts the earlier sources once, never twice.
-    assert len(sent[int(_MAPS[0][2])]) == 7
+    net.add_open_loop_source(_build(("random", 2, 7, 5, 0.4, 0), patterns))
+    if backend == "event":
+        net.run(until=3000.0)
+        assert 0.0 < net.now <= 3000.0 and net._events  # paused mid-run
+    else:
+        net.run()
+    late = _build(("random-2", 5, 7, 9, 0.4, 0), patterns)
+    with pytest.raises(SimulationError, match="before running"):
+        net.add_open_loop_source(late)

@@ -4,18 +4,22 @@ The statistical equivalence with the event engine lives in
 ``test_sim_differential.py``; this module pins the engine's own contracts:
 
 * determinism per seed, and full delivery (open-loop runs always drain);
-* **exact** uncongested latency: with no port contention the analytic
-  pipeline assembly must equal the event engine's latencies to float
-  rounding (1e-12 relative — the two accumulate the same terms in a
-  different association order);
+  a finished run returns the same stats again without re-simulating, and
+  takes no new sources; a failed run raises again instead;
+* **exact** uncongested latency: with no port contention the exact port
+  and NIC clocks must equal the event engine's latencies to float
+  rounding (1e-12 relative), also when two sources share one NIC;
 * self-sends are excluded from the stats exactly like the event engine;
 * unsupported features fail loudly at construction/call time rather than
-  silently falling back (closed-loop congestion features, pause/resume,
-  send(), delivery callbacks, unknown policies, shared-endpoint sources)
-  — the full backend x feature product lives in
+  silently falling back (pause/resume, send(), delivery callbacks,
+  unknown policies) — the full backend x feature product lives in
   ``tests/test_sim_capabilities.py``;
-* fault schedules are *supported* (epoch boundaries) but attach at most
-  once and only before the run;
+* finite buffers, lossy links and fault schedules run closed-loop too;
+  on one minimal path with a zero switch stage, messages of mixed sizes
+  through finite buffers match the event engine's latencies exactly;
+* fault schedules attach at most once and only before the run;
+* every run ends with a conservation check that catches a silently lost
+  packet or an unreturned credit;
 * the engine gathers from the stored next-hop arrays: a batched run,
   faulted or not, never builds the event engine's list views;
 * a run past the 2**20-cycle budget, open- or closed-loop, refuses and
@@ -32,11 +36,11 @@ The statistical equivalence with the event engine lives in
 import numpy as np
 import pytest
 
-from repro.errors import ParameterError, SimulationError
+from repro.errors import BufferDeadlockError, ParameterError, SimulationError
 from repro.routing import RoutingTables, make_routing
 from repro.sim import BatchedSimulator, NetworkSimulator, SimConfig
 from repro.sim.faults import FaultSchedule
-from repro.sim.traffic import OpenLoopSource, make_traffic
+from repro.sim.traffic import OpenLoopSource, TrafficPattern, make_traffic
 from repro.experiments.common import build_synthetic_sim
 from repro.topology import build_lps
 
@@ -100,6 +104,46 @@ class TestContracts:
             ref = np.random.default_rng(seed * 1_000_003 + rank)
             np.testing.assert_array_equal(source.rng.random(4), ref.random(4))
 
+    @pytest.mark.parametrize("backend", ["event", "batched"])
+    def test_second_run_returns_the_same_stats(self, parts, backend):
+        # A finished simulator is not re-simulated: the summary and the
+        # routing-choice counters stay exactly as the first run left them.
+        net = _net(parts, backend, routing="ugal", n_ranks=64,
+                   packets_per_rank=4)
+        first = net.run()
+        summary = first.summary()
+        counters = (first.minimal_choices, first.valiant_choices,
+                    first.n_injected, first.n_events)
+        # Packets between endpoints of one router take no source decision.
+        assert 0 < counters[0] + counters[1] <= first.n_injected
+        again = net.run()
+        assert again is first
+        assert again.summary() == summary
+        assert (again.minimal_choices, again.valiant_choices,
+                again.n_injected, again.n_events) == counters
+
+    def test_failed_run_is_not_returned_as_finished(self, parts):
+        # A refused fault schedule on oracle tables leaves the simulator
+        # unstarted, so asking again refuses again.
+        from repro.errors import BackendCapabilityError
+        from repro.experiments.common import cached_tables
+
+        topo, _ = parts
+        tables = cached_tables(topo, oracle="cayley")
+        net = BatchedSimulator(topo, make_routing("minimal", tables, seed=0),
+                               SimConfig(concentration=2), tables=tables,
+                               faults=FaultSchedule([]))
+        for _ in range(2):
+            with pytest.raises(BackendCapabilityError, match="dense"):
+                net.run()
+        # A run that fails part-way raises on every later call instead of
+        # handing back its partial stats.
+        net = _net(parts, "batched", load=1e-6, n_ranks=4, packets_per_rank=3)
+        with pytest.raises(SimulationError, match="cycle budget"):
+            net.run()
+        with pytest.raises(SimulationError, match="run failed"):
+            net.run()
+
     def test_stats_lists_stay_lists(self, parts):
         stats = _net(parts, "batched").run()
         assert type(stats.latencies_ns) is list
@@ -150,6 +194,41 @@ class TestExactUncongestedLatency:
                   pattern="neighbor", load=0.02, seed=9).run()
         _assert_latencies_exact(bt, ev)
 
+    @pytest.mark.parametrize("load", [0.05, 0.6])
+    def test_two_sources_on_one_endpoint_share_its_nic_exactly(
+        self, parts, load
+    ):
+        # Two sources on endpoint 0 send to a neighbouring router's
+        # endpoint: one minimal path, so the only queueing is the shared
+        # NIC (heavy at the higher load) and the pipeline behind it, and
+        # every latency must match the event engine to float rounding.
+        topo, tables = parts
+        nbr = int(topo.graph.indices[topo.graph.indptr[0]])
+        r2e = np.array([0, 0, 2 * nbr], dtype=np.int64)
+
+        class ToRank2(TrafficPattern):
+            name = "to-rank-2"
+            stochastic = False
+
+            def destination(self, src, rng):  # noqa: ARG002
+                return 2
+
+        def run(cls):
+            net = cls(topo, make_routing("minimal", tables, seed=0),
+                      SimConfig(concentration=2), tables=tables)
+            for rank in (0, 1):
+                net.add_open_loop_source(OpenLoopSource(
+                    rank, 0, ToRank2(3), r2e, load, 8, seed=rank))
+            return net.run()
+
+        ev, bt = run(NetworkSimulator), run(BatchedSimulator)
+        assert ev.n_injected == bt.n_injected == 16
+        assert bt.t_first_inject == ev.t_first_inject
+        _assert_latencies_exact(bt, ev)
+        assert bt.t_last_delivery == pytest.approx(
+            ev.t_last_delivery, rel=1e-12
+        )
+
 
 class TestUnsupportedFeaturesFailLoudly:
     def _policy(self, parts, name="minimal"):
@@ -171,28 +250,6 @@ class TestUnsupportedFeaturesFailLoudly:
         net2.set_fault_schedule(schedule)
         with pytest.raises(SimulationError, match="already attached"):
             net2.set_fault_schedule(FaultSchedule([]))
-
-    def test_congestion_features_rejected_for_closed_loop(self, parts):
-        # Finite buffers and lossy links are open-loop features on this
-        # engine; combining either with the closed-loop motif runner must
-        # refuse with the canonical error, not wedge or silently ignore.
-        from repro.sim import ChannelConfig
-
-        topo, tables, routing = self._policy(parts)
-        net = BatchedSimulator(
-            topo, routing,
-            SimConfig(concentration=2, finite_buffers=True),
-            tables=tables,
-        )
-        with pytest.raises(SimulationError, match="finite-buffers"):
-            net.run_closed_loop([], np.arange(4, dtype=np.int64))
-        net = BatchedSimulator(
-            topo, routing,
-            SimConfig(concentration=2, channel=ChannelConfig(loss_prob=0.1)),
-            tables=tables,
-        )
-        with pytest.raises(SimulationError, match="lossy-links"):
-            net.run_closed_loop([], np.arange(4, dtype=np.int64))
 
     def test_send_and_pause_rejected(self, parts):
         topo, tables, routing = self._policy(parts)
@@ -218,22 +275,167 @@ class TestUnsupportedFeaturesFailLoudly:
             BatchedSimulator(topo, routing, SimConfig(concentration=2),
                              tables=tables)
 
-    def test_shared_endpoint_sources_rejected(self, parts):
-        topo, tables, routing = self._policy(parts)
-        net = BatchedSimulator(topo, routing, SimConfig(concentration=2),
-                               tables=tables)
-        pat = make_traffic("random", 4)
-        r2e = np.arange(4, dtype=np.int64)
-        for rank in (0, 1):
-            net.add_open_loop_source(
-                OpenLoopSource(rank, 3, pat, r2e, 0.5, 2, seed=rank)
-            )
-        with pytest.raises(SimulationError, match="one source per endpoint"):
-            net.run()
-
     def test_unknown_backend_rejected(self, parts):
         with pytest.raises(ParameterError, match="unknown simulator backend"):
             _net(parts, "threaded")
+
+
+class TestClosedLoopScenarios:
+    """Finite buffers, lossy links and fault epochs live in the one loop,
+    so closed-loop DAGs run them too."""
+
+    def _run(self, parts, config, faults=None):
+        from repro.workloads import Sweep3DMotif
+        from repro.sim.placement import place_ranks
+
+        topo, tables = parts
+        net = BatchedSimulator(topo, make_routing("minimal", tables, seed=0),
+                               config, tables=tables, faults=faults)
+        motif = Sweep3DMotif((4, 4), sweeps=2)
+        messages = motif.generate()
+        r2e = place_ranks(motif.n_ranks, net.n_endpoints, seed=1)
+        stats = net.run_closed_loop(messages, np.asarray(r2e))
+        assert len(stats.latencies_ns) + stats.n_dropped == stats.n_injected
+        return net, stats, len(messages)
+
+    def test_finite_buffers_run_and_return_every_credit(self, parts):
+        net, stats, n_msgs = self._run(
+            parts, SimConfig(concentration=2, finite_buffers=True,
+                             buffer_bytes=4096),
+        )
+        assert net.closed_loop_delivered == n_msgs
+        assert stats.n_injected > 0 and stats.n_dropped == 0
+        assert int(net._buf_used.sum()) == 0
+
+    @pytest.mark.parametrize("buffer_bytes", [4096, 8192, 16384])
+    def test_mixed_sizes_on_one_path_match_the_event_engine(
+        self, parts, buffer_bytes
+    ):
+        # Messages above and below packet_bytes (one larger than every
+        # buffer) from one endpoint over a three-hop path with a single
+        # minimal next hop at each router: the credit gate, not routing,
+        # decides every start, and each waiter must start at the release
+        # that made room for it, as in the event engine.  The switch stage
+        # is zero because a packet blocked on arrival at an idle port is
+        # the one place the engines part: the event engine starts it at
+        # the release even inside its switch stage.
+        from repro.workloads.motif import Message
+
+        topo, tables = parts
+        n = topo.graph.n
+        indptr, indices = tables.next_hop_arrays()
+
+        def single_path(d):
+            u = 0
+            while u != d:
+                k = u * n + d
+                if indptr[k + 1] - indptr[k] != 1:
+                    return False
+                u = int(indices[indptr[k]])
+            return True
+
+        dst = next(d for d in range(n)
+                   if tables.dist[0, d] == 3 and single_path(d))
+        sizes = [6000, 1000, 5000, 300, 7000, 2500, 17000, 1500, 4096, 800,
+                 3000, 5500]
+        delays = [0.0, 50.0, 0.0, 400.0, 0.0, 0.0, 120.0, 0.0, 0.0, 10.0,
+                  0.0, 0.0]
+        messages = [Message(i, 0, 1, size, [], delay)
+                    for i, (size, delay) in enumerate(zip(sizes, delays))]
+        r2e = np.array([0, 2 * dst], dtype=np.int64)
+        cfg = SimConfig(concentration=2, finite_buffers=True,
+                        buffer_bytes=buffer_bytes, switch_latency_ns=0.0)
+        ev = NetworkSimulator(topo, make_routing("minimal", tables, seed=0),
+                              cfg, tables=tables)
+        for m in messages:
+            ev.send(0, int(r2e[1]), size=m.size, t=m.compute_ns)
+        bt = BatchedSimulator(topo, make_routing("minimal", tables, seed=0),
+                              cfg, tables=tables)
+        ev_stats = ev.run()
+        bt_stats = bt.run_closed_loop(messages, r2e)
+        assert bt_stats.n_injected == len(messages)
+        assert set(bt_stats.hops) == {3}
+        _assert_latencies_exact(bt_stats, ev_stats)
+        assert int(bt._buf_used.sum()) == 0
+
+    def test_lossy_links_run_and_conserve(self, parts):
+        from repro.sim import ChannelConfig
+
+        # Jitter alone delivers every message and delays some.
+        cfg = SimConfig(concentration=2,
+                        channel=ChannelConfig(jitter_ns=40.0, seed=3))
+        net, jittered, n_msgs = self._run(parts, cfg)
+        assert net.closed_loop_delivered == n_msgs
+        _, clean, _ = self._run(parts, SimConfig(concentration=2))
+        assert sum(jittered.latencies_ns) > sum(clean.latencies_ns)
+        # Losses stall the DAG behind the dropped messages, but every
+        # injected message is delivered or counted, and the credits of a
+        # finite-buffer run still all come back.
+        cfg = SimConfig(concentration=2, finite_buffers=True,
+                        channel=ChannelConfig(loss_prob=0.2, seed=3))
+        net, lossy, n_msgs = self._run(parts, cfg)
+        assert lossy.n_dropped > 0
+        assert net.closed_loop_delivered < n_msgs
+        assert int(net._buf_used.sum()) == 0
+
+    def test_link_fault_schedule_runs_closed_loop(self, parts):
+        topo, _ = parts
+        schedule = FaultSchedule.random_link_faults(
+            topo.graph, 0.1, t_fail=2000.0, seed=4, t_recover=20000.0
+        )
+        net, stats, n_msgs = self._run(
+            parts, SimConfig(concentration=2), faults=schedule
+        )
+        assert len(stats.epochs) == len(schedule) > 0
+        assert stats.n_requeued + stats.nonminimal_hops > 0
+        assert net.closed_loop_delivered + stats.n_dropped <= n_msgs
+        assert net._mask.pristine
+
+
+class TestRunEndCheck:
+    """Every run checks itself: a packet lost without a drop record or a
+    credit never returned raises instead of skewing the results."""
+
+    def test_unrecorded_drop_raises(self, parts, monkeypatch):
+        from repro.sim import ChannelConfig
+
+        topo, _ = parts
+        net = build_synthetic_sim(
+            topo, "minimal", "random", 0.5, concentration=2, n_ranks=32,
+            packets_per_rank=6, seed=5, backend="batched",
+            config=SimConfig(concentration=2,
+                             channel=ChannelConfig(loss_prob=0.2, seed=1)),
+        )
+        monkeypatch.setattr(BatchedSimulator, "_drop_pkts",
+                            lambda self, p, reason, t=None: None)
+        with pytest.raises(SimulationError,
+                           match=r"ended inconsistent: \d+ injected"):
+            net.run()
+
+    def test_unreturned_credit_raises(self, parts, monkeypatch):
+        # 64 KB buffers never fill at this load, so one skipped release
+        # leaves no deadlock — only credit the run end must catch.
+        topo, _ = parts
+        net = build_synthetic_sim(
+            topo, "minimal", "random", 0.5, concentration=2, n_ranks=32,
+            packets_per_rank=6, seed=5, backend="batched",
+            config=SimConfig(concentration=2, finite_buffers=True),
+        )
+        release = BatchedSimulator._release_credit
+        skipped = []
+
+        def skip_once(self, p, t):
+            if not skipped and (self._occ[p] >= 0).any():
+                skipped.append(True)
+                return
+            release(self, p, t)
+
+        monkeypatch.setattr(BatchedSimulator, "_release_credit", skip_once)
+        with pytest.raises(SimulationError,
+                           match=r", [1-9]\d* B of buffer credit") as exc:
+            net.run()
+        assert skipped
+        assert not isinstance(exc.value, BufferDeadlockError)
 
 
 class TestCycleBudget:

@@ -254,6 +254,23 @@ def _motif_id(cfg):
     return f"{cfg['motif']}-{cfg['routing']}-{cfg['family']}-s{cfg['seed']}"
 
 
+def _motif_congestion_configs():
+    """The first two motif configs again, each with one congestion feature
+    on: 1-packet finite buffers, and a loss-free jittery channel (no loss,
+    so the DAG drains).  Checked against the same MOTIF_TOLERANCES."""
+    finite, jitter = (dict(c) for c in _motif_configs()[:2])
+    finite["sim"] = {"finite_buffers": True, "buffer_bytes": 4096}
+    jitter["sim"] = {"channel": ChannelConfig(
+        jitter_ns=15.0, extra_latency_ns=4.0, seed=jitter["seed"]
+    )}
+    return [finite, jitter]
+
+
+def _motif_congestion_id(cfg):
+    kind = "finite" if "finite_buffers" in cfg["sim"] else "jitter"
+    return f"{_motif_id(cfg)}-{kind}"
+
+
 class TestMotifDifferential:
     """Motif DAGs agree across engines within the documented tolerances."""
 
@@ -263,11 +280,17 @@ class TestMotifDifferential:
         policy = make_routing(cfg["routing"], tables, seed=cfg["seed"])
         return run_motif(
             topo, policy, _MOTIF_KINDS[cfg["motif"]](),
-            SimConfig(concentration=2),
+            SimConfig(concentration=2, **cfg.get("sim", {})),
             placement_seed=cfg["seed"] + 1, backend=backend,
         )
 
-    @pytest.mark.parametrize("cfg", _shard(_motif_configs()), ids=_motif_id)
+    @pytest.mark.parametrize(
+        "cfg",
+        _shard(_motif_configs() + _motif_congestion_configs()),
+        ids=lambda c: (
+            _motif_congestion_id(c) if "sim" in c else _motif_id(c)
+        ),
+    )
     def test_batched_motif_matches_event_within_tolerance(self, topos, cfg):
         ev = self._run(topos, cfg, "event")
         bt = self._run(topos, cfg, "batched")

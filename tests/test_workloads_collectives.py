@@ -139,14 +139,13 @@ class TestEpochBoundary:
             topo, make_routing("minimal", tables, seed=0),
             SimConfig(concentration=2), tables=tables,
         )
-        net._msg_sizes = None
         net.stats.epochs.append({
             "t": 100.0, "label": "recover", "injected": 0, "delivered": 0,
             "dropped": 0, "requeued": 0, "bytes_delivered": 0,
         })
         t0 = np.array([50.0, 100.0, 150.0])
         t_del = np.array([100.0, 200.0, 250.0])
-        net._fill_epochs(t0, t_del, np.ones(3, dtype=bool))
+        net._fill_epochs(t0, t_del, np.full(3, 4096))
         ep = net.stats.epochs[0]
         assert ep["injected"] == 1  # t0 == 100.0 lands after the boundary
         assert ep["delivered"] == 0  # t_del == 100.0 likewise
