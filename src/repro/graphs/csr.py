@@ -82,15 +82,18 @@ class CSRGraph:
         """
         edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
         mask = edges[:, 0] != edges[:, 1]
-        edges = edges[mask]
+        if not mask.all():
+            edges = edges[mask]
         if np.any(edges < 0) or np.any(edges >= n):
             raise ConstructionError("edge endpoint out of range")
-        both = np.concatenate([edges, edges[:, ::-1]], axis=0)
-        keys = both[:, 0] * n + both[:, 1]
+        # Keys of both orientations, built without a reversed copy of the
+        # edge list: at LPS(5,61) (680,760 edges) each copy is 10.9 MB.
+        u, v = edges[:, 0], edges[:, 1]
+        keys = np.concatenate([u * n + v, v * n + u])
         if not allow_parallel:
             keys = sorted_unique(keys)
         else:
-            keys = np.sort(keys)
+            keys.sort()
         heads = keys // n
         tails = keys % n
         counts = np.bincount(heads, minlength=n)

@@ -34,6 +34,7 @@ changes answers (property-tested), it only re-costs them.
 
 from __future__ import annotations
 
+import logging
 from collections import OrderedDict
 
 import numpy as np
@@ -41,6 +42,8 @@ import numpy as np
 from repro.graphs.bfs import UNREACHED, bfs_distances, distance_matrix
 from repro.graphs.csr import CSRGraph
 from repro.utils.diskcache import get_default_cache
+
+_log = logging.getLogger(__name__)
 
 #: Router count at or below which ``oracle_for(kind="auto")`` picks the
 #: dense matrix: below this the O(n^2) table fits comfortably in memory and
@@ -152,14 +155,14 @@ class RoutingOracle:
         )
         return nbrs[nd == du - 1]
 
-    def minimal_blocks(
-        self, us: np.ndarray, ds: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Batch minimal-candidate matrix for a regular graph.
+    def minimal_blocks(self, us: np.ndarray, ds: np.ndarray) -> np.ndarray:
+        """Batch minimal-candidate mask for a regular graph.
 
-        Returns ``(nbrs, mask)`` of shape ``(m, radix)``: per query pair the
-        (sorted) neighbour row of ``us[i]`` and a boolean mask of which
-        neighbours are minimal next hops toward ``ds[i]``.
+        Returns a boolean ``(m, radix)`` array: entry ``[i, t]`` says
+        whether the neighbour in CSR slot ``t`` of ``us[i]`` (edge id
+        ``indptr[us[i]] + t``) is a minimal next hop toward ``ds[i]``.
+        This general form asks :meth:`distance_batch` for the pair and
+        for each of its ``radix`` neighbours.
         """
         if self._radix is None:
             raise ValueError("minimal_blocks requires a regular graph")
@@ -170,8 +173,7 @@ class RoutingOracle:
             nbrs.ravel().astype(np.int64), np.repeat(ds, k)
         ).reshape(-1, k)
         du = self.distance_batch(us, ds)
-        mask = nd == (du - 1)[:, None]
-        return nbrs, mask
+        return nd == (du - 1)[:, None]
 
     def pick_minimal(
         self, us: np.ndarray, ds: np.ndarray, r: np.ndarray
@@ -180,21 +182,27 @@ class RoutingOracle:
 
         ``r`` holds one uniform [0,1) draw per pair; the selected candidate
         matches the dense flat-table pick (same sorted candidate order, same
-        width, same draw) bit for bit.
+        width, same draw) bit for bit.  Returns the CSR edge id of each
+        pick (``indptr[u] + slot``); the hop is ``graph.indices[eid]``.
         """
         us = np.asarray(us, dtype=np.int64)
         ds = np.asarray(ds, dtype=np.int64)
+        g = self.graph
         if self._radix is None:
             out = np.empty(len(us), dtype=np.int64)
             for i in range(len(us)):
-                c = self.min_next_hops(int(us[i]), int(ds[i]))
+                u = int(us[i])
+                c = self.min_next_hops(u, int(ds[i]))
                 if len(c) == 0:
                     raise ValueError(
-                        f"no minimal next hop from {us[i]} to {ds[i]}"
+                        f"no minimal next hop from {u} to {ds[i]}"
                     )
-                out[i] = c[int(r[i] * len(c))]
+                lo, hi = int(g.indptr[u]), int(g.indptr[u + 1])
+                out[i] = lo + np.searchsorted(
+                    g.indices[lo:hi], c[int(r[i] * len(c))]
+                )
             return out
-        nbrs, mask = self.minimal_blocks(us, ds)
+        mask = self.minimal_blocks(us, ds)
         width = mask.sum(axis=1)
         if len(width) and int(width.min()) <= 0:
             i = int(np.argmin(width))
@@ -204,8 +212,7 @@ class RoutingOracle:
         pick = (r * width).astype(np.int64)
         cum = np.cumsum(mask, axis=1)
         sel = mask & (cum == (pick + 1)[:, None])
-        j = sel.argmax(axis=1)
-        return nbrs[np.arange(len(us)), j].astype(np.int64)
+        return g.indptr[us] + sel.argmax(axis=1)
 
     # -- sanity --------------------------------------------------------------
     def _self_check(self, samples: int = 32, seed: int = 0) -> None:
@@ -290,7 +297,11 @@ class WordTranslator:
 
     Inverses come from walking reversed words with paired inverse
     generators — everything stays in the right-multiplication tables the
-    closure already produced.  Memory: ``O(n * diameter)`` int8 words.
+    closure already produced.  Memory: ``n * diameter`` int8 words, the
+    int32 ``(n_generators, n)`` permutations, and the int32 depth and
+    int64 inverse of every vertex (at LPS(5,61): 1.0 MB of words, 2.7 MB
+    of permutations, 1.4 MB for depths and inverses).  A walk over ``m``
+    pairs allocates ``O(m * diameter)`` and no copy of the permutations.
     """
 
     def __init__(self, perms: np.ndarray) -> None:
@@ -366,13 +377,19 @@ class WordTranslator:
         self.inv = z
 
     def _apply_words(self, starts: np.ndarray, ds: np.ndarray) -> np.ndarray:
-        """Walk ``word(ds[i])`` from ``starts[i]``: returns ``starts*ds``."""
+        """Walk ``word(ds[i])`` from ``starts[i]``: returns ``starts*ds``.
+
+        Every pair gathers at every step (a word is padded with generator
+        0, a valid row) and a finished word keeps its value through
+        ``np.where``: cheaper than selecting the live pairs at each step.
+        """
         z = np.array(starts, dtype=np.int64, copy=True)
         wl = self.depth[ds]
         w = self.words[ds]
+        flat = self.perms.ravel()  # perms[j][v] is flat[j * n + v]
+        n = np.int64(self.n)
         for t in range(int(wl.max()) if len(wl) else 0):
-            active = wl > t
-            z[active] = self.perms[w[active, t], z[active]]
+            z = np.where(wl > t, flat[w[:, t] * n + z], z)
         return z
 
     def translate(self, us, ds) -> tuple[np.ndarray, np.ndarray]:
@@ -467,6 +484,16 @@ class CayleyOracle(RoutingOracle):
     One BFS ball per canonical form (``O(forms * n)`` int32), plus the
     translator's own ``O(n * diameter)`` structure for word-walk families.
     Every query ``d(u, d)`` becomes ``ball[form(u)][translate(u, d)]``.
+
+    With a :class:`WordTranslator` on a regular graph, one walk answers a
+    pair and all its neighbours.  The graph is a right Cayley graph with
+    vertex 0 the identity, and left multiplication by ``d^-1`` takes ``d``
+    to it, so for ``w = d^-1 u`` (``translate(ds, us)``)
+    ``d(u, d) == ball[w]`` and the neighbour ``u*s_j`` is at
+    ``ball[perms[j][w]]``.  An ``n x radix`` int8 slot table (``n*radix``
+    bytes: 0.68 MB at LPS(5,61)) names the generator behind each CSR
+    slot of each vertex, so :meth:`minimal_blocks` reads the neighbour
+    distances in CSR order.
     """
 
     kind = "cayley"
@@ -489,8 +516,27 @@ class CayleyOracle(RoutingOracle):
         # canonical sources, so the max over the form balls is the true
         # eccentricity maximum.
         self._diam = int(self._balls.max())
+        self._slot_gen = (
+            self._slot_generators(translator.perms)
+            if isinstance(translator, WordTranslator)
+            and self._radix is not None
+            else None
+        )
         if self_check:
             self._self_check()
+
+    def _slot_generators(self, perms: np.ndarray) -> np.ndarray:
+        """``slot_gen[u, t] = j`` where CSR slot ``t`` of ``u`` is ``u*s_j``."""
+        rows = self.graph.indices.reshape(self.n, self._radix)
+        slot_gen = np.full(rows.shape, -1, dtype=np.int8)
+        for j in range(len(perms)):
+            slot_gen[rows == perms[j][:, None]] = j
+        if int(slot_gen.min()) < 0:
+            raise ValueError(
+                "translator permutations do not match the graph's "
+                "neighbour rows"
+            )
+        return slot_gen
 
     @property
     def diameter(self) -> int:
@@ -501,6 +547,17 @@ class CayleyOracle(RoutingOracle):
         ds = np.asarray(ds, dtype=np.int64)
         form, z = self.translator.translate(us, ds)
         return self._balls[form, z].astype(np.int64)
+
+    def minimal_blocks(self, us: np.ndarray, ds: np.ndarray) -> np.ndarray:
+        """The minimal mask from one word walk per pair (see the class)."""
+        if self._slot_gen is None:
+            return super().minimal_blocks(us, ds)
+        tr = self.translator
+        w = tr._apply_words(tr.inv[ds], us)  # d^-1 u
+        ball = self._balls[0]
+        nbr = tr.perms.ravel()[self._slot_gen[us] * np.int64(self.n)
+                               + w[:, None]]  # d^-1 u s_j, in CSR order
+        return ball[nbr] == (ball[w] - 1)[:, None]
 
     def _compute_row(self, u: int) -> np.ndarray:
         all_d = np.arange(self.n, dtype=np.int64)
@@ -608,16 +665,30 @@ def oracle_for(
 
     ``kind``: ``"auto"`` (dense below ``dense_threshold`` routers, then
     Cayley where the family has a translator, else landmark), or one of
-    ``"dense"`` / ``"cayley"`` / ``"landmark"`` to force a backend.
+    ``"dense"`` / ``"cayley"`` / ``"landmark"`` to force a backend.  The
+    choice and the rule that made it are logged at DEBUG.
     """
     g = topo.graph
     if kind == "auto":
         if g.n <= dense_threshold:
             kind = "dense"
+            rule = f"auto: at most dense_threshold={dense_threshold} routers"
         elif topo.family in CAYLEY_FAMILIES:
             kind = "cayley"
+            rule = (f"auto: above dense_threshold={dense_threshold}, "
+                    "family has a Cayley translator")
         else:
             kind = "landmark"
+            rule = (f"auto: above dense_threshold={dense_threshold}, "
+                    "no Cayley translator for the family")
+    elif kind in ("dense", "cayley", "landmark"):
+        rule = "kind given by the caller"
+    else:
+        raise ValueError(
+            f"unknown oracle kind {kind!r}; options auto/dense/cayley/landmark"
+        )
+    _log.debug("%s oracle for %d routers, family %s (%s)",
+               kind, g.n, topo.family, rule)
     if kind == "dense":
         return DenseOracle(g, use_cache=use_cache)
     if kind == "cayley":
@@ -628,8 +699,4 @@ def oracle_for(
                 f"(supported: {CAYLEY_FAMILIES})"
             )
         return CayleyOracle(g, tr)
-    if kind == "landmark":
-        return LandmarkOracle(g, landmarks=landmarks)
-    raise ValueError(
-        f"unknown oracle kind {kind!r}; options auto/dense/cayley/landmark"
-    )
+    return LandmarkOracle(g, landmarks=landmarks)

@@ -107,10 +107,7 @@ def run_motif(
         # The callback reaches ``net`` through ``inject``: break the cycle.
         net.on_delivery = None
     if delivered_count != len(messages):
-        raise RuntimeError(
-            f"motif deadlocked: {delivered_count}/{len(messages)} delivered "
-            "(cyclic dependencies?)"
-        )
+        raise _stall_error(delivered_count, len(messages), stats)
     out = _summarise(stats, motif, messages,
                      float(net.stats.t_last_delivery))
     if t_deliver is not None:
@@ -135,14 +132,28 @@ def _run_batched(
     )
     stats = net.run_closed_loop(messages, np.asarray(rank_to_ep))
     if net.closed_loop_delivered != len(messages):
-        raise RuntimeError(
-            f"motif deadlocked: {net.closed_loop_delivered}/{len(messages)} "
-            "delivered (cyclic dependencies?)"
-        )
+        raise _stall_error(net.closed_loop_delivered, len(messages), stats)
     out = _summarise(stats, motif, messages, float(stats.t_last_delivery))
     if collect_delivery_times:
         out["t_delivered_ns"] = net._t_del.copy()
     return out
+
+
+def _stall_error(delivered: int, n: int, stats) -> RuntimeError:
+    """Why a DAG run ended before every message was delivered.
+
+    A dropped message never releases its dependents, so drops are named
+    as the cause when there are any; otherwise the DAG must be cyclic.
+    """
+    if stats.n_dropped:
+        causes = ", ".join(f"{k}: {v}" for k, v in sorted(stats.drops.items()))
+        return RuntimeError(
+            f"motif stalled: {delivered}/{n} delivered; {stats.n_dropped} "
+            f"dropped messages ({causes}) stalled their dependents"
+        )
+    return RuntimeError(
+        f"motif deadlocked: {delivered}/{n} delivered (cyclic dependencies?)"
+    )
 
 
 def _summarise(stats, motif: Motif, messages: list[Message],

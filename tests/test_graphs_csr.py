@@ -69,6 +69,31 @@ class TestFromEdges:
         g = CSRGraph.from_edges(5, np.array([[0, 1]]))
         assert g.degrees().tolist() == [1, 1, 0, 0, 0]
 
+    def test_parallel_kept_when_allowed(self):
+        g = CSRGraph.from_edges(
+            3, np.array([[0, 1], [1, 0], [2, 2], [1, 2]]), allow_parallel=True
+        )
+        assert g.neighbors(1).tolist() == [0, 0, 2]
+        assert g.neighbors(0).tolist() == [1, 1]
+
+    def test_peak_allocation_is_a_few_edge_lists(self):
+        # The symmetrised keys are built without a reversed or masked copy
+        # of the edge list, which sets the LPS build's memory peak at scale.
+        import tracemalloc
+
+        n, k = 20_000, 6
+        rng = np.random.default_rng(0)
+        edges = np.stack(
+            [np.repeat(np.arange(n), k), rng.integers(0, n, n * k)], axis=1
+        )
+        tracemalloc.start()
+        try:
+            CSRGraph.from_edges(n, edges)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * edges.nbytes
+
 
 class TestAccessors:
     def test_edge_array_each_edge_once(self, triangle):

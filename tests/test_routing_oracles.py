@@ -21,6 +21,7 @@ Three contracts are pinned here:
 
 from __future__ import annotations
 
+import logging
 import tracemalloc
 
 import numpy as np
@@ -108,6 +109,27 @@ class TestOracleEquivalence:
         np.testing.assert_array_equal(
             lazy.pick_minimal(us, ds, r), dense.pick_minimal(us, ds, r)
         )
+
+    def test_pick_minimal_returns_the_edge_of_the_dense_pick(
+        self, family_case
+    ):
+        """Regular or not, each pick is the CSR edge id of the candidate
+        ``int(r * width)`` of the dense minimal set."""
+        topo, kind = family_case
+        g = topo.graph
+        dense = DenseOracle(g, use_cache=False)
+        lazy = oracle_for(topo, kind=kind, use_cache=False)
+        tables = RoutingTables(g, use_cache=False)
+        rng = np.random.default_rng(17)
+        us, ds = _sample_pairs(topo.n_routers, rng, k=200)
+        keep = us != ds
+        us, ds = us[keep], ds[keep]
+        r = rng.random(len(us))
+        eids = lazy.pick_minimal(us, ds, r)
+        for u, d, x, eid in zip(us.tolist(), ds.tolist(), r, eids.tolist()):
+            c = dense.min_next_hops(u, d)
+            hop = int(c[int(x * len(c))])
+            assert eid == tables.directed_edge_id(u, hop)
 
     def test_diameter_matches_dense(self, family_case):
         topo, kind = family_case
@@ -239,6 +261,44 @@ class TestLaziness:
             ).kind
             == "landmark"
         )
+
+
+class TestOracleChoiceLog:
+    """``oracle_for`` logs the kind it chose and the rule that chose it."""
+
+    @pytest.mark.parametrize(
+        "build, kind, threshold, rule",
+        [
+            (lambda: build_lps(3, 5), "auto", 4096,
+             "auto: at most dense_threshold=4096 routers"),
+            (lambda: build_lps(3, 5), "auto", 8,
+             "auto: above dense_threshold=8, family has a Cayley translator"),
+            (lambda: build_jellyfish(40, 4, seed=1), "auto", 8,
+             "auto: above dense_threshold=8, no Cayley translator"),
+            (lambda: build_lps(3, 5), "landmark", 4096,
+             "kind given by the caller"),
+        ],
+        ids=["dense", "cayley", "landmark", "forced"],
+    )
+    def test_choice_is_logged_at_debug(self, caplog, build, kind,
+                                       threshold, rule):
+        topo = build()
+        with caplog.at_level(logging.DEBUG, logger="repro.routing.oracles"):
+            oracle = oracle_for(topo, kind=kind, dense_threshold=threshold,
+                                use_cache=False)
+        (record,) = [r for r in caplog.records
+                     if r.name == "repro.routing.oracles"]
+        assert record.levelno == logging.DEBUG
+        assert record.getMessage().startswith(
+            f"{oracle.kind} oracle for {topo.n_routers} routers, "
+            f"family {topo.family} ({rule}"
+        )
+
+    def test_library_configures_no_handler(self):
+        import repro.routing.oracles  # noqa: F401
+
+        assert logging.getLogger("repro").handlers == []
+        assert logging.getLogger("repro.routing.oracles").handlers == []
 
 
 class TestMemoryCeiling:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.routing import RoutingTables, make_routing
-from repro.sim import SimConfig
+from repro.sim import ChannelConfig, SimConfig
 from repro.topology import build_lps
 from repro.workloads import (
     FFTMotif,
@@ -184,6 +184,38 @@ class TestRunner:
             Sweep3DMotif((5, 5), sweeps=1, compute_ns=5000.0), cfg,
         )
         assert slow["makespan_ns"] > fast["makespan_ns"]
+
+    @pytest.mark.parametrize("backend", ["event", "batched"])
+    def test_lossy_stall_names_the_drops(self, env, backend):
+        # A message the channel drops never releases its dependents: the
+        # error blames the drops, not a dependency cycle.
+        topo, tables = env
+        cfg = SimConfig(concentration=2,
+                        channel=ChannelConfig(loss_prob=0.2, seed=3))
+        with pytest.raises(
+            RuntimeError,
+            match=r"^motif stalled: \d+/48 delivered; \d+ dropped messages "
+                  r"\(channel-loss: \d+\) stalled their dependents$",
+        ):
+            run_motif(topo, make_routing("minimal", tables, seed=0),
+                      Sweep3DMotif((4, 4), sweeps=2), cfg, backend=backend)
+
+    @pytest.mark.parametrize("backend", ["event", "batched"])
+    def test_cyclic_dag_is_reported_as_deadlock(self, env, backend):
+        topo, tables = env
+        messages = [
+            Message(0, 0, 1, 1024, [], 0.0),
+            Message(1, 1, 2, 1024, [2], 0.0),
+            Message(2, 2, 3, 1024, [1], 0.0),
+        ]
+        with pytest.raises(
+            RuntimeError,
+            match=r"^motif deadlocked: 1/3 delivered \(cyclic dependencies\?\)$",
+        ):
+            run_motif(topo, make_routing("minimal", tables, seed=0),
+                      Sweep3DMotif((2, 2), sweeps=1),
+                      SimConfig(concentration=2), backend=backend,
+                      messages=messages)
 
 
 #: Every motif family, sized for the live-simulator tests below.
