@@ -57,36 +57,32 @@ def cayley_graph_closure(
     if n_gens == 0:
         raise ConstructionError("generator set is empty")
 
-    key_to_index: dict[int, int] = {}
-    elements_chunks: list[np.ndarray] = []
-    id_key = int(encode(identity[None, :])[0])
-    key_to_index[id_key] = 0
-    elements_chunks.append(identity[None, :])
-    n_vertices = 1
+    # Keys seen so far, kept sorted: each level resolves its distinct
+    # products with one searchsorted instead of a per-vertex dict.
+    seen = encode(identity[None, :])
+    elements_chunks: list[np.ndarray] = [identity[None, :]]
 
     frontier = identity[None, :]
     while len(frontier) > 0:
         # Multiply the whole frontier by every generator at once.
         products = np.concatenate([multiply(frontier, g) for g in gens], axis=0)
         canon = canonicalize(products)
-        keys = encode(canon)
-        uniq_keys, first_pos = np.unique(keys, return_index=True)
-        new_rows = []
-        for key, pos in zip(uniq_keys.tolist(), first_pos.tolist()):
-            if key not in key_to_index:
-                key_to_index[key] = n_vertices
-                n_vertices += 1
-                new_rows.append(pos)
-        if n_vertices > max_vertices:
+        uniq_keys, first_pos = np.unique(encode(canon), return_index=True)
+        pos = np.searchsorted(seen, uniq_keys)
+        new = seen[np.minimum(pos, len(seen) - 1)] != uniq_keys
+        if not new.any():
+            break
+        seen = np.insert(seen, pos[new], uniq_keys[new])
+        if len(seen) > max_vertices:
             raise ConstructionError(
                 f"group closure exceeded max_vertices={max_vertices}"
             )
-        if not new_rows:
-            break
-        frontier = canon[new_rows]
+        # New vertices take ids in ascending key order within the level.
+        frontier = canon[first_pos[new]]
         elements_chunks.append(frontier)
 
     elements = np.concatenate(elements_chunks, axis=0)
+    n_vertices = len(elements)
     all_keys = encode(elements)
 
     # Vectorised neighbour resolution: sort keys once, then searchsorted.

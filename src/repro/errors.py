@@ -125,17 +125,6 @@ class BufferDeadlockError(SimulationError):
         return ()
 
 
-class JobCancelledError(ReproError, RuntimeError):
-    """An experiment run was cancelled through its :class:`CancelToken`.
-
-    Raised by the executor at the next cell boundary after cancellation
-    is requested (``repro.runner.executor``).  Cells that completed
-    before the cancellation remain individually cached — they are valid
-    results — but no merged result is written, so a re-run recomputes
-    only the cells the cancelled run never finished.
-    """
-
-
 class CellExecutionError(ReproError, RuntimeError):
     """A sweep cell's driver raised.
 

@@ -17,7 +17,7 @@ through this registry, so the CLI, benchmarks, and cached sweeps always
 agree on what each experiment means.
 """
 
-from repro.runner.executor import CancelToken, run_experiment
+from repro.runner.executor import run_experiment
 from repro.runner.registry import (
     EXPERIMENTS,
     ExperimentDef,
@@ -28,7 +28,6 @@ from repro.runner.spec import ExperimentSpec, RunReport
 
 __all__ = [
     "EXPERIMENTS",
-    "CancelToken",
     "ExperimentDef",
     "ExperimentSpec",
     "RunReport",

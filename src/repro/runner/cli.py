@@ -25,14 +25,8 @@ Subcommands
     and exits nonzero on a >25% regression (see ``docs/performance.md``).
 ``cache``
     Inspect (``cache stats``) or clear (``cache clear``) the on-disk
-    result/artifact store, including hit/miss/eviction/reaped-tmp
-    metrics persisted by the service.
-``serve``
-    Run the long-lived experiment service: an HTTP job queue over the
-    registry with async submission, per-cell result streaming, and a
-    shared multi-tenant artifact store (``docs/service.md``).
-``submit`` / ``status`` / ``cancel`` / ``stream``
-    Client verbs talking to a running ``serve`` instance.
+    result/artifact cache; ``stats`` also reaps tempfiles that interrupted
+    writes left behind more than an hour ago.
 
 Examples
 --------
@@ -45,9 +39,6 @@ Examples
     python -m repro run fig6 --set loads=0.1,0.2 --set routing=minimal
     python -m repro sweep fig7 --seeds 0,1,2 --jobs 4
     python -m repro report -o results
-    python -m repro serve --workers 4 --store-budget 2G
-    python -m repro submit fig6 --set backend=batched
-    python -m repro stream job-1
     python -m repro cache stats
 """
 
@@ -65,7 +56,12 @@ from typing import Any
 from repro.errors import BackendCapabilityError, ParameterError
 from repro.runner.executor import run_experiment
 from repro.runner.registry import EXPERIMENTS, get_experiment, list_experiments
-from repro.utils.diskcache import configure_cache, default_cache_dir, get_default_cache
+from repro.utils.diskcache import (
+    DiskCache,
+    configure_cache,
+    default_cache_dir,
+    get_default_cache,
+)
 from repro.utils.tables import render_table
 
 
@@ -345,153 +341,21 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
 
 def cmd_cache(args: argparse.Namespace) -> int:
-    from repro.service.store import ArtifactStore
-
-    # The cache command inspects the store the service writes to, so it
-    # builds an ArtifactStore (which also reaps stale tempfiles at
-    # startup and folds in the persisted hit/miss/eviction metrics).
-    store = ArtifactStore(
-        args.cache_dir or default_cache_dir(),
-        enabled=not getattr(args, "no_cache", False),
-    )
-    action = "clear" if args.clear else args.action
-    if action == "clear":
-        removed = store.clear()
-        print(f"removed {removed} cached files from {store.root}")
+    cache = DiskCache(args.cache_dir or default_cache_dir())
+    if args.action == "clear":
+        removed = cache.clear()
+        print(f"removed {removed} cached files from {cache.root}")
         return 0
-    stats = store.stats()
-    rows = [{"key": k, "value": v} for k, v in stats.items()]
-    print(render_table(rows, title=f"repro artifact store ({store.root})"))
+    reaped = cache.reap_tmp()
+    # This process has looked nothing up, so its session counters read 0.
+    rows = [
+        {"key": k, "value": v}
+        for k, v in cache.stats().items()
+        if not k.startswith("session_")
+    ]
+    rows.append({"key": "reaped_tmp", "value": reaped})
+    print(render_table(rows, title=f"repro cache ({cache.root})"))
     return 0
-
-
-# ---------------------------------------------------------------------------
-# Experiment service verbs (docs/service.md).
-def cmd_serve(args: argparse.Namespace) -> int:
-    from repro.service import ArtifactStore, JobQueue, make_server, parse_budget
-    from repro.utils.diskcache import set_default_cache
-
-    budget = parse_budget(args.store_budget) if args.store_budget else None
-    store = ArtifactStore(
-        args.cache_dir or default_cache_dir(),
-        enabled=not args.no_cache,
-        budget_bytes=budget,
-        reap_age_s=args.reap_age,
-    )
-    # Library hot spots (topology construction, routing tables) memoize
-    # through the process default — point it at the shared store so jobs
-    # deduplicate intermediates, not just results.
-    set_default_cache(store)
-    queue = JobQueue(store, workers=args.workers, jobs_per_run=args.jobs)
-    server = make_server(queue, host=args.host, port=args.port,
-                         quiet=args.quiet)
-    host, port = server.server_address[:2]
-    print(f"repro service on http://{host}:{port}")
-    print(f"  store: {store.root} (budget "
-          f"{budget if budget is not None else 'unbounded'}, "
-          f"{store.reaped_tmp} stale tmp reaped)")
-    print(f"  workers: {args.workers} x {args.jobs} cell process(es); "
-          "Ctrl-C to stop")
-    try:
-        server.serve_forever()
-    except KeyboardInterrupt:
-        print("\nshutting down", file=sys.stderr)
-    finally:
-        server.server_close()
-        queue.shutdown(cancel_running=True)
-        totals = store.flush_metrics()
-        print(
-            f"store totals: {totals['hits']} hits, {totals['misses']} misses, "
-            f"{totals['evictions']} evictions, {totals['reaped_tmp']} tmp reaped"
-        )
-    return 0
-
-
-def _client(args: argparse.Namespace):
-    from repro.service import ServiceClient
-
-    return ServiceClient(args.url)
-
-
-def _print_job(snap: dict) -> None:
-    line = f"{snap['id']}: {snap['experiment']} [{snap['preset']}] {snap['state']}"
-    if snap.get("error"):
-        line += f" — {snap['error']}"
-    print(line)
-    for report in snap.get("reports", ()):
-        print(
-            f"  {report['name']}: {report['rows']} rows in "
-            f"{report['seconds']}s ({report['n_cached_cells']}/"
-            f"{report['n_cells']} cells cached"
-            + (", full-result hit" if report["from_cache"] else "")
-            + ")"
-        )
-
-
-def cmd_submit(args: argparse.Namespace) -> int:
-    client = _client(args)
-    snap = client.submit(
-        args.experiment,
-        preset="full" if args.full else "small",
-        overrides=_parse_sets(args.set),
-        force=args.force,
-    )
-    _print_job(snap)
-    if args.wait:
-        snap = client.wait(snap["id"])
-        _print_job(snap)
-        return 0 if snap["state"] == "done" else 1
-    return 0
-
-
-def cmd_status(args: argparse.Namespace) -> int:
-    client = _client(args)
-    if args.job:
-        _print_job(client.job(args.job))
-        return 0
-    status = client.status()
-    for snap in status["jobs"]:
-        _print_job(snap)
-    if not status["jobs"]:
-        print("(no jobs)")
-    store = status["store"]
-    print(
-        f"queued {status['queued']} | store: {store['entries']} entries, "
-        f"{store['bytes']} bytes"
-        + (f" (budget {store['budget_bytes']})" if store.get("budget_bytes") else "")
-        + f", hit rate {store.get('hit_rate')}, "
-        f"{store.get('total_evictions', 0)} evictions, "
-        f"{store.get('total_reaped_tmp', 0)} tmp reaped"
-    )
-    return 0
-
-
-def cmd_cancel(args: argparse.Namespace) -> int:
-    _print_job(_client(args).cancel(args.job))
-    return 0
-
-
-def cmd_stream(args: argparse.Namespace) -> int:
-    client = _client(args)
-    state = None
-    for event in client.stream(args.job, since=args.since):
-        if args.json:
-            print(json.dumps(event), flush=True)
-            continue
-        kind, data = event["kind"], event.get("data", {})
-        if kind == "cell-result":
-            src = "cache" if data.get("from_cache") else f"{data.get('seconds')}s"
-            print(
-                f"[{data.get('index', 0) + 1}/{data.get('total', '?')}] "
-                f"{data.get('cell')}: {len(data.get('rows', []))} rows ({src})",
-                flush=True,
-            )
-        elif kind in ("job-done", "job-failed", "job-cancelled"):
-            state = kind
-            print(f"{kind}: {json.dumps(data)}", flush=True)
-        elif kind != "cell-start":
-            print(f"{kind}: {json.dumps(data)}", flush=True)
-    return 0 if state in (None, "job-done") else 1
 
 
 # ---------------------------------------------------------------------------
@@ -592,97 +456,18 @@ def build_parser() -> argparse.ArgumentParser:
                    help="suppress progress output")
     p.set_defaults(func=cmd_bench)
 
-    p = sub.add_parser("cache", help="inspect or clear the artifact store")
+    p = sub.add_parser("cache", help="inspect or clear the on-disk cache")
     p.add_argument("action", nargs="?", choices=("stats", "clear"),
                    default="stats",
-                   help="show store stats (default) or delete every entry")
-    p.add_argument("--clear", action="store_true",
-                   help="alias for the `clear` action (kept for scripts)")
-    p.add_argument("--no-cache", action="store_true", help=argparse.SUPPRESS)
+                   help="show cache stats (default) or delete every entry")
     p.add_argument("--cache-dir", metavar="DIR",
                    help=f"cache root (default {default_cache_dir()})")
     p.set_defaults(func=cmd_cache)
-
-    # -- experiment service (docs/service.md) -------------------------------
-    from repro.service.api import DEFAULT_HOST, DEFAULT_PORT
-
-    default_url = f"http://{DEFAULT_HOST}:{DEFAULT_PORT}"
-
-    p = sub.add_parser(
-        "serve",
-        help="run the experiment service (async jobs, streaming results, "
-             "shared artifact store)",
-    )
-    p.add_argument("--host", default=DEFAULT_HOST,
-                   help=f"bind address (default {DEFAULT_HOST})")
-    p.add_argument("--port", type=int, default=DEFAULT_PORT, metavar="N",
-                   help=f"port (default {DEFAULT_PORT}; 0 picks a free one)")
-    p.add_argument("--workers", type=int, default=2, metavar="N",
-                   help="concurrent jobs (worker threads, default 2)")
-    p.add_argument("--jobs", "-j", type=int, default=1, metavar="N",
-                   help="cell worker processes per job (default 1)")
-    p.add_argument("--store-budget", metavar="BYTES",
-                   help="artifact-store byte budget with LRU eviction "
-                        "(e.g. 500000, 64K, 256M, 2G; default unbounded)")
-    p.add_argument("--reap-age", type=float, default=3600.0, metavar="SEC",
-                   help="age after which orphaned *.tmp files are reaped "
-                        "at startup (default 3600)")
-    p.add_argument("--no-cache", action="store_true",
-                   help="disable the store (every cell recomputes)")
-    p.add_argument("--cache-dir", metavar="DIR",
-                   help=f"store root (default {default_cache_dir()})")
-    p.add_argument("--quiet", "-q", action="store_true",
-                   help="suppress per-request HTTP logging")
-    p.set_defaults(func=cmd_serve)
-
-    p = sub.add_parser("submit", help="submit an experiment to a running service")
-    p.add_argument("experiment", metavar="EXPERIMENT")
-    scale = p.add_mutually_exclusive_group()
-    scale.add_argument("--small", action="store_true",
-                       help="laptop-scale preset (default)")
-    scale.add_argument("--full", action="store_true",
-                       help="paper-scale preset (slow)")
-    p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
-                   help="override an experiment parameter (repeatable)")
-    p.add_argument("--force", action="store_true",
-                   help="recompute even if cached results exist")
-    p.add_argument("--wait", action="store_true",
-                   help="block until the job finishes; exit 1 unless done")
-    p.add_argument("--url", default=default_url,
-                   help=f"service URL (default {default_url})")
-    p.set_defaults(func=cmd_submit)
-
-    p = sub.add_parser("status", help="show service jobs and store metrics")
-    p.add_argument("job", nargs="?", metavar="JOB_ID",
-                   help="show one job instead of the whole service")
-    p.add_argument("--url", default=default_url,
-                   help=f"service URL (default {default_url})")
-    p.set_defaults(func=cmd_status)
-
-    p = sub.add_parser("cancel", help="cancel a queued or running job")
-    p.add_argument("job", metavar="JOB_ID")
-    p.add_argument("--url", default=default_url,
-                   help=f"service URL (default {default_url})")
-    p.set_defaults(func=cmd_cancel)
-
-    p = sub.add_parser(
-        "stream", help="follow a job's per-cell results as they arrive"
-    )
-    p.add_argument("job", metavar="JOB_ID")
-    p.add_argument("--since", type=int, default=0, metavar="SEQ",
-                   help="start from this event offset (default 0)")
-    p.add_argument("--json", action="store_true",
-                   help="print raw NDJSON events instead of summaries")
-    p.add_argument("--url", default=default_url,
-                   help=f"service URL (default {default_url})")
-    p.set_defaults(func=cmd_stream)
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    from repro.service.api import ServiceError
-
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
@@ -694,11 +479,6 @@ def main(argv: list[str] | None = None) -> int:
         # backend cannot run, a `--set` key no composite part accepts) is
         # a usage error, not a crash: print the message — it names the
         # supported backends / accepted keys — without a traceback.
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ServiceError as exc:
-        # Client verbs against an unreachable service or a rejected
-        # submission: the server's message, no traceback.
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

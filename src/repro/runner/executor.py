@@ -13,12 +13,11 @@ from __future__ import annotations
 
 import os
 import sys
-import threading
 import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures import ProcessPoolExecutor, as_completed
 from typing import Any, Callable
 
-from repro.errors import CellExecutionError, JobCancelledError, ParameterError
+from repro.errors import CellExecutionError, ParameterError
 from repro.experiments.common import ExperimentResult
 from repro.runner.registry import ExperimentDef, get_experiment
 from repro.runner.spec import CellOutcome, ExperimentSpec, RunReport
@@ -27,36 +26,6 @@ from repro.utils.diskcache import DiskCache, configure_cache, get_default_cache
 _RESULT_KEY = "experiment-result"
 
 Progress = Callable[[str], None] | None
-
-#: An event sink receives one dict per execution event (``type`` keys:
-#: ``cell-start``, ``cell-result``, ``experiment-cached``).  ``cell-result``
-#: events carry the cell's rows, so a sink sees results incrementally as
-#: cells finish instead of waiting for the merged :class:`RunReport` — the
-#: streaming channel the experiment service exposes per job.
-EventSink = Callable[[dict[str, Any]], None] | None
-
-
-class CancelToken:
-    """Cooperative cancellation flag threaded through ``run_experiment``.
-
-    The submitter keeps a reference and calls :meth:`cancel`; the executor
-    checks :attr:`cancelled` at every cell boundary (and while waiting on
-    the process pool) and raises :class:`JobCancelledError`.  Cells that
-    already completed stay cached — they are valid results — so nothing
-    partial or poisoned is ever written.
-    """
-
-    __slots__ = ("_event",)
-
-    def __init__(self) -> None:
-        self._event = threading.Event()
-
-    def cancel(self) -> None:
-        self._event.set()
-
-    @property
-    def cancelled(self) -> bool:
-        return self._event.is_set()
 
 
 def _result_key(spec: ExperimentSpec) -> tuple[str, str]:
@@ -120,48 +89,20 @@ def _run_cells(
     cache: DiskCache,
     force: bool,
     progress: Progress,
-    events: EventSink = None,
-    cancel: CancelToken | None = None,
 ) -> tuple[list[ExperimentResult], list[CellOutcome]]:
     """Execute the cell list, serving cached cells and pooling the misses."""
     results: list[ExperimentResult | None] = [None] * len(cells)
     outcomes: list[CellOutcome | None] = [None] * len(cells)
     n = len(cells)
-    done_cells = 0
-
-    def emit(event: dict[str, Any]) -> None:
-        if events is not None:
-            events(event)
-
-    def check_cancel() -> None:
-        if cancel is not None and cancel.cancelled:
-            raise JobCancelledError(
-                f"cancelled with {done_cells}/{n} cells complete"
-            )
 
     def serve(i: int, result: ExperimentResult, from_cache: bool, seconds: float) -> None:
-        nonlocal done_cells
         results[i] = result
         outcomes[i] = CellOutcome(cells[i], from_cache=from_cache, seconds=seconds)
-        done_cells += 1
-        emit(
-            {
-                "type": "cell-result",
-                "cell": cells[i].name,
-                "index": i,
-                "total": n,
-                "from_cache": from_cache,
-                "seconds": round(seconds, 3),
-                "rows": result.rows,
-                "notes": result.notes,
-            }
-        )
         if progress:
             label = "cached" if from_cache else f"{seconds:.1f}s"
             progress(f"  [{i + 1}/{n}] {cells[i].name}: {label}")
 
     misses: list[int] = []
-    check_cancel()
     for i, cell in enumerate(cells):
         hit = None if force else cache.get(_result_key(cell))
         if hit is not None:
@@ -178,9 +119,6 @@ def _run_cells(
     # a result forever), must not leave the pool hanging (pending cells are
     # cancelled; in-flight ones finish with the context manager), and must
     # surface as a CellExecutionError carrying the failing cell's spec.
-    # Cancellation follows the same no-poisoning rule: it is honoured at
-    # cell boundaries (and while waiting on the pool), so every entry that
-    # does reach the cache is a complete, valid cell result.
     def fail(i: int, exc: BaseException) -> CellExecutionError:
         return CellExecutionError(
             f"cell {cells[i].name} failed: {exc!r}", spec=cells[i]
@@ -199,36 +137,21 @@ def _run_cells(
                 ): i
                 for i in misses
             }
-            for i in misses:
-                emit({"type": "cell-start", "cell": cells[i].name,
-                      "index": i, "total": n})
-            pending = set(futures)
             try:
-                while pending:
-                    check_cancel()
-                    done, pending = wait(
-                        pending,
-                        timeout=0.2 if cancel is not None else None,
-                        return_when=FIRST_COMPLETED,
-                    )
-                    for fut in done:
-                        try:
-                            result, seconds = fut.result()
-                        except Exception as exc:
-                            raise fail(futures[fut], exc) from exc
-                        record(futures[fut], result, seconds)
+                for fut in as_completed(futures):
+                    try:
+                        result, seconds = fut.result()
+                    except Exception as exc:
+                        raise fail(futures[fut], exc) from exc
+                    record(futures[fut], result, seconds)
             except BaseException:
-                # Cell failure or cancellation: drop queued cells; the
-                # context manager waits out in-flight ones, whose results
-                # are discarded unrecorded (nothing reaches the cache).
-                for p in pending:
-                    p.cancel()
+                # Drop queued cells; the context manager waits out
+                # in-flight ones, whose results are discarded unrecorded.
+                for fut in futures:
+                    fut.cancel()
                 raise
     else:
         for i in misses:
-            check_cancel()
-            emit({"type": "cell-start", "cell": cells[i].name,
-                  "index": i, "total": n})
             t0 = time.perf_counter()
             try:
                 result = cells[i].execute()
@@ -246,21 +169,11 @@ def _run_single(
     cache: DiskCache,
     force: bool,
     progress: Progress,
-    events: EventSink = None,
-    cancel: CancelToken | None = None,
 ) -> RunReport:
     t0 = time.perf_counter()
     if not force:
         hit = cache.get(_result_key(spec))
         if hit is not None:
-            if events is not None:
-                events(
-                    {
-                        "type": "experiment-cached",
-                        "experiment": spec.name,
-                        "rows": len(hit.rows),
-                    }
-                )
             return RunReport(
                 name=spec.name,
                 result=hit,
@@ -268,9 +181,7 @@ def _run_single(
                 from_cache=True,
             )
     cells = exp.cells(spec)
-    cell_results, outcomes = _run_cells(
-        cells, jobs, cache, force, progress, events=events, cancel=cancel
-    )
+    cell_results, outcomes = _run_cells(cells, jobs, cache, force, progress)
     merged = _merge_cells(spec, cell_results)
     if len(cells) > 1:
         # Unsplit specs share their spec hash with their single cell, which
@@ -292,8 +203,6 @@ def run_experiment(
     cache: DiskCache | None = None,
     force: bool = False,
     progress: Progress = None,
-    events: EventSink = None,
-    cancel: CancelToken | None = None,
 ) -> list[RunReport]:
     """Run one registered experiment (or composite) and return its reports.
 
@@ -305,6 +214,8 @@ def run_experiment(
         ``"small"`` (laptop-scale defaults) or ``"full"`` (paper-scale).
     overrides:
         Parameter overrides applied on top of the preset (CLI ``--set``).
+        A key the driver does not accept (for a composite: that no part
+        accepts) raises :class:`ParameterError` before any cell runs.
     jobs:
         Worker processes for independent cells; 1 runs everything inline.
     cache:
@@ -313,29 +224,22 @@ def run_experiment(
         Recompute even when cached results exist (results are re-stored).
     progress:
         Optional callable receiving one human-readable line per cell.
-    events:
-        Optional :data:`EventSink` receiving structured execution events —
-        one ``cell-result`` per finished cell, rows included, so callers
-        (the experiment service) can stream results incrementally.
-    cancel:
-        Optional :class:`CancelToken`; once cancelled, execution stops at
-        the next cell boundary with :class:`JobCancelledError`.  Finished
-        cells stay cached; nothing partial is written.
 
     Returns one :class:`RunReport` per driver — a single report for plain
     experiments, one per part for composites like ``fig4``.
     """
     exp = get_experiment(experiment) if isinstance(experiment, str) else experiment
     cache = cache if cache is not None else get_default_cache()
+    overrides = overrides or {}
     if exp.is_composite:
         # Parts have different signatures; forward only the overrides each
         # driver actually accepts.  A key no part accepts is a user error
-        # (a typo would otherwise be silently ignored here, while plain
-        # experiments reject it) — raise before running anything.
+        # (a typo would otherwise be silently ignored) — raise before
+        # running anything.
         parts = [get_experiment(p) for p in exp.parts]
         accepted_by_part = {p.name: p.accepted_params() for p in parts}
         all_accepted = set().union(*accepted_by_part.values())
-        unknown = sorted(set(overrides or {}) - all_accepted)
+        unknown = sorted(set(overrides) - all_accepted)
         if unknown:
             raise ParameterError(
                 f"composite {exp.name!r}: override key(s) "
@@ -346,21 +250,20 @@ def run_experiment(
         reports = []
         for part in parts:
             part_overrides = {
-                k: v
-                for k, v in (overrides or {}).items()
-                if k in accepted_by_part[part.name]
+                k: v for k, v in overrides.items() if k in accepted_by_part[part.name]
             }
             spec = part.spec(preset, part_overrides)
-            reports.append(
-                _run_single(
-                    part, spec, jobs, cache, force, progress,
-                    events=events, cancel=cancel,
-                )
-            )
+            reports.append(_run_single(part, spec, jobs, cache, force, progress))
         return reports
+    # The spec comes first so that an unusable `backend` override keeps
+    # its own canonical message; then no key the driver does not accept
+    # may reach a cell (it would die there with a TypeError).
     spec = exp.spec(preset, overrides)
-    return [
-        _run_single(
-            exp, spec, jobs, cache, force, progress, events=events, cancel=cancel
+    accepted = exp.accepted_params()
+    unknown = sorted(set(overrides) - accepted)
+    if unknown:
+        raise ParameterError(
+            f"experiment {exp.name!r}: unknown override key(s) "
+            f"{', '.join(unknown)}; accepted keys: {', '.join(sorted(accepted))}"
         )
-    ]
+    return [_run_single(exp, spec, jobs, cache, force, progress)]

@@ -551,7 +551,7 @@ EXPERIMENTS: dict[str, ExperimentDef] = _exp(
         },
         # Every (seed_family, radix, budget) combination is an independent
         # search; infeasible pairs are skipped inside their cell, keeping
-        # the cross product rectangular for the executor/service.
+        # the cross product rectangular for the executor.
         cell_axes=("seed_families", "radixes", "budgets"),
         tags=("extension", "search", "spectral", "simulation"),
         runtime="~1 min",

@@ -121,14 +121,7 @@ class DiskCache:
             self.misses += 1
             return default
         self.hits += 1
-        self._note_hit(path)
         return value
-
-    def _note_hit(self, path: Path) -> None:
-        """Subclass hook: a lookup just read ``path`` (LRU bookkeeping)."""
-
-    def _note_put(self, path: Path) -> None:
-        """Subclass hook: a value was just stored at ``path`` (eviction)."""
 
     def contains(self, key: Any) -> bool:
         return self.enabled and self._path(self.key_hash(key)).exists()
@@ -150,7 +143,6 @@ class DiskCache:
             except OSError:
                 pass
             raise
-        self._note_put(path)
 
     def memoize(self, key: Any, builder: Callable[[], Any]) -> Any:
         """Return the cached value for ``key``, building and storing on miss."""
@@ -211,9 +203,10 @@ class DiskCache:
 
         An interrupted ``put`` (killed worker, power loss between
         ``mkstemp`` and ``os.replace``) strands a ``*.tmp`` file that no
-        lookup will ever read.  Stores call this at startup; the age
-        guard keeps a tempfile a *live* concurrent writer is still
-        filling safe from the reaper.  Returns the number removed.
+        lookup will ever read.  ``repro cache stats`` calls this with the
+        default hour; the age guard keeps a tempfile a *live* concurrent
+        writer is still filling safe from the reaper.  Returns the number
+        removed.
         """
         reaped = 0
         if self.root.is_dir():
@@ -252,17 +245,4 @@ def configure_cache(root: str | os.PathLike | None = None, enabled: bool = True)
     """Replace the process-wide default cache (CLI / worker entry points)."""
     global _default
     _default = DiskCache(root if root is not None else default_cache_dir(), enabled=enabled)
-    return _default
-
-
-def set_default_cache(cache: DiskCache) -> DiskCache:
-    """Install an existing cache instance as the process-wide default.
-
-    The experiment service uses this to make its shared
-    :class:`~repro.service.store.ArtifactStore` the cache every library
-    hot spot (topology construction, routing tables) memoizes through,
-    so concurrent jobs deduplicate intermediates as well as results.
-    """
-    global _default
-    _default = cache
     return _default

@@ -1,15 +1,12 @@
-"""DiskCache correctness fixes + the multi-tenant ArtifactStore.
-
-Covers the cache-side satellite fixes of the service PR:
+"""DiskCache robustness: corrupt entries, orphaned tempfiles, concurrency.
 
 * corrupted/truncated entries are unlinked on decode failure (so
   ``contains`` stops lying and the next ``put`` repairs the entry);
 * orphaned ``*.tmp`` files from interrupted ``put``s are visible in
-  ``stats()``, removed by ``clear()``, and age-reaped at store startup;
-* the :class:`ArtifactStore` byte budget with LRU eviction (hits refresh
-  recency) and persisted hit/miss/eviction metrics;
-* a multi-process stress test: concurrent put/get/evict on one root must
-  never produce a torn read or a stray tempfile.
+  ``stats()``, removed by ``clear()``, and age-reaped by ``reap_tmp``;
+* a multi-process stress test: concurrent put/get on one root (what the
+  executor's ``--jobs N`` workers do) must never produce a torn read or a
+  stray tempfile.
 """
 
 from __future__ import annotations
@@ -19,9 +16,6 @@ import os
 import pickle
 import time
 
-import pytest
-
-from repro.service.store import ArtifactStore, parse_budget
 from repro.utils.diskcache import DiskCache
 
 
@@ -99,87 +93,9 @@ class TestTmpOrphans:
         # A live writer's tempfile survives the reaper.
         assert os.path.exists(fresh)
 
-    def test_store_reaps_stale_tmp_at_startup(self, tmp_path):
-        seed = DiskCache(tmp_path)
-        seed.put(("k",), 1)
-        _orphan_tmp(seed, age_s=7200.0)
-        store = ArtifactStore(tmp_path)
-        assert store.reaped_tmp == 1
-        stats = store.stats()
-        assert stats["tmp_files"] == 0
-        assert stats["total_reaped_tmp"] == 1
-        assert store.get(("k",)) == 1  # entries untouched
-
-
-class TestBudgetEviction:
-    def test_budget_enforced_after_puts(self, tmp_path):
-        store = ArtifactStore(tmp_path, budget_bytes=20_000)
-        for i in range(12):
-            store.put(("k", i), b"x" * 4096)
-        stats = store.stats()
-        assert stats["bytes"] <= 20_000
-        assert stats["session_evictions"] > 0
-        assert stats["entries"] < 12
-
-    def test_lru_order_hits_refresh_recency(self, tmp_path):
-        # ~4.2K per entry; budget fits three.
-        store = ArtifactStore(tmp_path, budget_bytes=13_000)
-        for name in ("a", "b", "c"):
-            store.put((name,), b"x" * 4096)
-            time.sleep(0.02)
-        assert store.get(("a",)) is not None  # refresh a's recency
-        time.sleep(0.02)
-        store.put(("d",), b"x" * 4096)  # evicts the LRU entry: b
-        assert not store.contains(("b",))
-        for name in ("a", "c", "d"):
-            assert store.contains((name,)), name
-
-    def test_startup_eviction_on_existing_root(self, tmp_path):
-        big = ArtifactStore(tmp_path)
-        for i in range(10):
-            big.put(("k", i), b"x" * 4096)
-        shrunk = ArtifactStore(tmp_path, budget_bytes=10_000)
-        assert shrunk.stats()["bytes"] <= 10_000
-
-    def test_bad_budget_rejected(self, tmp_path):
-        with pytest.raises(ValueError):
-            ArtifactStore(tmp_path, budget_bytes=0)
-
-    def test_parse_budget(self):
-        assert parse_budget("500000") == 500_000
-        assert parse_budget("64K") == 64 << 10
-        assert parse_budget("256M") == 256 << 20
-        assert parse_budget("2G") == 2 << 30
-        with pytest.raises(ValueError):
-            parse_budget("many")
-        with pytest.raises(ValueError):
-            parse_budget("-3M")
-
-
-class TestMetrics:
-    def test_flush_and_reload_totals(self, tmp_path):
-        store = ArtifactStore(tmp_path)
-        store.put(("k",), 1)
-        assert store.get(("k",)) == 1
-        assert store.get(("missing",)) is None
-        store.flush_metrics()
-        reopened = ArtifactStore(tmp_path)
-        stats = reopened.stats()
-        assert stats["total_hits"] == 1
-        assert stats["total_misses"] == 1
-        assert stats["session_hits"] == 0  # session counters are fresh
-        assert stats["hit_rate"] == 0.5
-
-    def test_metrics_file_not_an_entry(self, tmp_path):
-        store = ArtifactStore(tmp_path)
-        store.put(("k",), 1)
-        store.flush_metrics()
-        assert store.stats()["entries"] == 1
-        assert store.clear() == 1  # metrics sidecar is not an entry
-
 
 # ---------------------------------------------------------------------------
-# Multi-process stress: many writers, one root, a tight budget.
+# Multi-process stress: many writers, one root.
 _N_KEYS = 17
 
 
@@ -187,29 +103,28 @@ def _expected(k: int) -> list[int]:
     return [k * j for j in range(800)]
 
 
-def _stress_worker(root: str, budget: int, n_ops: int, errors) -> None:
+def _stress_worker(root: str, n_ops: int, errors) -> None:
     try:
-        store = ArtifactStore(root, budget_bytes=budget)
+        cache = DiskCache(root)
         for i in range(n_ops):
             k = i % _N_KEYS
-            value = store.get(("stress", k))
+            value = cache.get(("stress", k))
             # Atomic writes + corrupt-unlink mean a reader sees either
-            # nothing (miss / evicted) or the complete, correct value —
-            # never a torn read.
+            # nothing (a miss) or the complete, correct value — never a
+            # torn read.
             if value is not None and value != _expected(k):
                 errors.put(f"torn read for key {k}")
                 return
-            store.put(("stress", k), _expected(k))
+            cache.put(("stress", k), _expected(k))
     except BaseException as exc:  # noqa: BLE001 — report into the queue
         errors.put(f"{type(exc).__name__}: {exc}")
 
 
 def test_multiprocess_stress_no_torn_reads(tmp_path):
-    budget = 40_000  # far below 17 entries' footprint: constant eviction
     errors = multiprocessing.Queue()
     procs = [
         multiprocessing.Process(
-            target=_stress_worker, args=(str(tmp_path), budget, 60, errors)
+            target=_stress_worker, args=(str(tmp_path), 60, errors)
         )
         for _ in range(4)
     ]
@@ -219,15 +134,14 @@ def test_multiprocess_stress_no_torn_reads(tmp_path):
         p.join(timeout=120)
         assert p.exitcode == 0
     assert errors.empty(), errors.get()
-    # The surviving population is consistent: within budget (modulo the
-    # final concurrent put), no stranded tempfiles, every entry readable.
-    store = ArtifactStore(tmp_path, budget_bytes=budget)
-    stats = store.stats()
-    assert stats["bytes"] <= budget
+    # The final population is consistent: every key stored once, no
+    # stranded tempfiles, every entry readable and correct.
+    cache = DiskCache(tmp_path)
+    stats = cache.stats()
+    assert stats["entries"] == _N_KEYS
     assert stats["tmp_files"] == 0
-    for path in store.root.glob("*/*.pkl"):
+    for path in cache.root.glob("*/*.pkl"):
         with open(path, "rb") as fh:
-            pickle.load(fh)  # every surviving file unpickles cleanly
+            pickle.load(fh)  # every file unpickles cleanly
     for k in range(_N_KEYS):
-        value = store.get(("stress", k))
-        assert value is None or value == _expected(k)
+        assert cache.get(("stress", k)) == _expected(k)

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -319,3 +321,75 @@ def test_cli_sweep_scalar_axis_over_tuple_param(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert "2 points" in proc.stdout
+
+
+def test_cli_unknown_override_fails_cleanly_before_running(tmp_path):
+    proc = _cli(tmp_path, "run", "fig3", "--set", "nope=1")
+    assert proc.returncode == 2
+    errors = [line for line in proc.stderr.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1 and "nope" in errors[0], proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not list((tmp_path / "cli-cache").glob("*/*.pkl"))
+
+
+# ---------------------------------------------------------------------------
+# `repro cache stats|clear` on the plain disk cache
+def _plant_tmp(root: Path, name: str, age_s: float) -> Path:
+    path = root / "ab" / name
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_bytes(b"partial")
+    old = time.time() - age_s
+    os.utime(path, (old, old))
+    return path
+
+
+def _stat(stdout: str, key: str) -> str:
+    for line in stdout.splitlines():
+        fields = line.split()
+        if fields and fields[0] == key:
+            return fields[1]
+    raise AssertionError(f"no {key!r} row in:\n{stdout}")
+
+
+def test_cli_cache_stats_reports_run_entries(tmp_path):
+    assert _cli(tmp_path, "run", "fig3", "--quiet").returncode == 0
+    entries = len(list((tmp_path / "cli-cache").glob("*/*.pkl")))
+    assert entries > 0
+    proc = _cli(tmp_path, "cache", "stats")
+    assert proc.returncode == 0, proc.stderr
+    assert _stat(proc.stdout, "entries") == str(entries)
+
+
+def test_cli_cache_stats_reaps_stale_tempfiles_only(tmp_path):
+    root = tmp_path / "cli-cache"
+    stale = _plant_tmp(root, "stale.tmp", age_s=7200.0)
+    fresh = _plant_tmp(root, "fresh.tmp", age_s=0.0)
+    proc = _cli(tmp_path, "cache", "stats")
+    assert proc.returncode == 0, proc.stderr
+    assert _stat(proc.stdout, "reaped_tmp") == "1"
+    assert _stat(proc.stdout, "tmp_files") == "1"
+    assert not stale.exists() and fresh.exists()
+
+
+def test_cli_cache_clear_removes_entries_and_tempfiles(tmp_path):
+    root = tmp_path / "cli-cache"
+    assert _cli(tmp_path, "run", "fig3", "--quiet").returncode == 0
+    _plant_tmp(root, "orphan.tmp", age_s=0.0)
+    # A root an older store wrote carries a metrics sidecar beside the
+    # entry directories; both verbs ignore it.
+    (root / "store_metrics.json").write_text('{"hits": 3}\n')
+    proc = _cli(tmp_path, "cache", "clear")
+    assert proc.returncode == 0, proc.stderr
+    assert not list(root.glob("*/*.pkl")) and not list(root.glob("*/*.tmp"))
+    assert (root / "store_metrics.json").exists()
+    proc = _cli(tmp_path, "cache", "stats")
+    assert proc.returncode == 0, proc.stderr
+    assert _stat(proc.stdout, "entries") == "0"
+
+
+def test_cli_help_names_only_the_experiment_verbs(tmp_path):
+    proc = _cli(tmp_path, "--help")
+    assert proc.returncode == 0, proc.stderr
+    assert "{list,run,sweep,report,bench,cache}" in proc.stdout
+    for verb in ("serve", "submit", "status", "cancel", "stream"):
+        assert verb not in proc.stdout

@@ -269,6 +269,21 @@ def test_composite_rejects_before_running_anything(cache):
     assert _entries(cache) == 0
 
 
+def test_plain_experiment_rejects_unknown_override_before_running(cache):
+    from repro.errors import ParameterError
+
+    with pytest.raises(ParameterError) as exc_info:
+        run_experiment(
+            _OK, preset="small", overrides={"nope": 1, "families": ("LPS",)},
+            cache=cache,
+        )
+    message = str(exc_info.value)
+    assert "'ok-sweep'" in message and "nope" in message
+    assert "families" not in message.split(";")[0]  # only the bad key
+    assert "max_trials_per_batch" in message  # the accepted keys
+    assert _entries(cache) == 0
+
+
 def test_composite_forwards_valid_override_to_accepting_part(cache):
     # max_pq is a design_space parameter; feasible_sizes must still run.
     reports = run_experiment(
@@ -282,7 +297,7 @@ def test_composite_forwards_valid_override_to_accepting_part(cache):
 
 
 # ---------------------------------------------------------------------------
-# Cooperative cancellation: stop at cell boundaries, never poison the cache.
+# The process pool: results arrive out of order, rows merge in cell order.
 
 
 def _slow_cell(families=("a",), delay=0.05):
@@ -305,67 +320,17 @@ _SLOW = ExperimentDef(
 )
 
 
-def _tmp_files(cache):
-    return list(cache.root.glob("**/*.tmp"))
-
-
-def test_precancelled_token_runs_nothing(cache):
-    from repro.errors import JobCancelledError
-    from repro.runner import CancelToken
-
-    token = CancelToken()
-    token.cancel()
-    with pytest.raises(JobCancelledError, match=r"0/4 cells"):
-        run_experiment(_SLOW, preset="small", jobs=1, cache=cache, cancel=token)
-    assert _entries(cache) == 0
-
-
-@pytest.mark.parametrize("jobs", [1, 2])
-def test_cancel_mid_run_keeps_completed_cells_only(cache, jobs):
-    from repro.errors import JobCancelledError
-    from repro.runner import CancelToken
-
-    token = CancelToken()
-    kinds = []
-
-    def sink(event):
-        kinds.append(event["type"])
-        if event["type"] == "cell-result":
-            token.cancel()
-
-    with pytest.raises(JobCancelledError) as exc_info:
-        run_experiment(
-            _SLOW, preset="small", jobs=jobs, cache=cache,
-            events=sink, cancel=token,
-        )
-    assert "cells complete" in str(exc_info.value)
-    assert "cell-result" in kinds
-    # The no-poisoning contract: no half-written tempfiles, and every
-    # entry on disk is a complete cell result — so a rerun reuses the
-    # finished cells and computes only the remainder.
-    assert _tmp_files(cache) == []
-    reports = run_experiment(_SLOW, preset="small", jobs=1, cache=cache)
-    assert reports[0].n_cells == 4
-    assert reports[0].n_cached_cells >= 1
-    assert len(reports[0].result.rows) == 4
-
-
-def test_event_sink_sees_cell_lifecycle_and_cache_hits(cache):
-    events = []
-    run_experiment(
-        _SLOW, preset="small", jobs=1, cache=cache, events=events.append
-    )
-    kinds = [e["type"] for e in events]
-    assert kinds == ["cell-start", "cell-result"] * 4
-    first_result = events[1]
-    assert first_result["rows"] == [{"family": "a"}]
-    assert first_result["from_cache"] is False
-    assert first_result["total"] == 4
-
-    # Rerun: per-cell hits stream as cell-result events with from_cache
-    # set — except a full-spec hit, which short-circuits to one event.
-    rerun_events = []
-    run_experiment(
-        _SLOW, preset="small", jobs=1, cache=cache, events=rerun_events.append
-    )
-    assert [e["type"] for e in rerun_events] == ["experiment-cached"]
+def test_pool_run_matches_inline_run(tmp_path):
+    inline = run_experiment(
+        _SLOW, preset="small", jobs=1, cache=DiskCache(tmp_path / "inline")
+    )[0]
+    pooled_cache = DiskCache(tmp_path / "pooled")
+    pooled = run_experiment(_SLOW, preset="small", jobs=2, cache=pooled_cache)[0]
+    assert pooled.result.rows == inline.result.rows
+    assert [r["family"] for r in pooled.result.rows] == ["a", "b", "c", "d"]
+    assert pooled.n_cells == 4 and pooled.n_cached_cells == 0
+    # Every cell and the merged result reached the cache, no tempfile left.
+    assert pooled_cache.stats()["entries"] == 5
+    assert list(pooled_cache.root.glob("*/*.tmp")) == []
+    rerun = run_experiment(_SLOW, preset="small", jobs=2, cache=pooled_cache)[0]
+    assert rerun.from_cache and rerun.result.rows == inline.result.rows
