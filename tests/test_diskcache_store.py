@@ -4,6 +4,10 @@
   ``contains`` stops lying and the next ``put`` repairs the entry);
 * orphaned ``*.tmp`` files from interrupted ``put``s are visible in
   ``stats()``, removed by ``clear()``, and age-reaped by ``reap_tmp``;
+  a ``put`` that fails leaves none behind;
+* a root an older store wrote (with its ``store_metrics.json`` sidecar),
+  or no root at all, reads as a plain cache;
+* ``CACHE_VERSION`` and the ``REPRO_CACHE*`` environment scope the store;
 * a multi-process stress test: concurrent put/get on one root (what the
   executor's ``--jobs N`` workers do) must never produce a torn read or a
   stray tempfile.
@@ -16,6 +20,9 @@ import os
 import pickle
 import time
 
+import pytest
+
+from repro.utils import diskcache
 from repro.utils.diskcache import DiskCache
 
 
@@ -92,6 +99,60 @@ class TestTmpOrphans:
         assert cache.reap_tmp(min_age_s=3600.0) == 1
         # A live writer's tempfile survives the reaper.
         assert os.path.exists(fresh)
+
+    def test_failed_put_leaves_no_tempfile(self, tmp_path):
+        cache = DiskCache(tmp_path)
+        cache.put(("k",), "old")
+        with pytest.raises(Exception):
+            cache.put(("k",), lambda: None)  # lambdas do not pickle
+        assert list(tmp_path.glob("*/*.tmp")) == []
+        # The entry the failed put would have replaced is intact.
+        assert cache.get(("k",)) == "old"
+
+
+class TestRoots:
+    def test_metrics_file_not_an_entry(self, tmp_path):
+        # An older store kept hit/miss totals in a sidecar at the root;
+        # the plain cache neither counts, clears nor reaps it.
+        cache = DiskCache(tmp_path)
+        cache.put(("k",), 1)
+        sidecar = tmp_path / "store_metrics.json"
+        sidecar.write_text('{"hits": 3, "misses": 1}\n')
+        old = time.time() - 7200.0
+        os.utime(sidecar, (old, old))
+        assert cache.stats()["entries"] == 1
+        assert cache.reap_tmp() == 0
+        assert cache.clear() == 1
+        assert sidecar.exists()
+
+    def test_missing_root_reads_empty_and_is_not_created(self, tmp_path):
+        cache = DiskCache(tmp_path / "never")
+        stats = cache.stats()
+        assert (stats["entries"], stats["bytes"], stats["tmp_files"]) == (0, 0, 0)
+        assert cache.reap_tmp() == 0 and cache.clear() == 0
+        assert cache.get(("k",)) is None and not cache.contains(("k",))
+        assert not (tmp_path / "never").exists()
+
+    def test_cache_version_scopes_every_key(self, tmp_path, monkeypatch):
+        cache = DiskCache(tmp_path)
+        cache.put(("k",), "v1")
+        monkeypatch.setattr(diskcache, "CACHE_VERSION", diskcache.CACHE_VERSION + 1)
+        assert cache.get(("k",)) is None
+        cache.put(("k",), "v2")
+        assert cache.get(("k",)) == "v2"
+        monkeypatch.undo()
+        assert cache.get(("k",)) == "v1"
+
+    def test_default_cache_follows_environment(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(diskcache, "_default", None)
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "env-root"))
+        monkeypatch.setenv("REPRO_CACHE", "0")
+        cache = diskcache.get_default_cache()
+        assert cache.root == tmp_path / "env-root" and not cache.enabled
+        assert diskcache.get_default_cache() is cache  # built once
+        # configure_cache replaces it for the whole process.
+        other = diskcache.configure_cache(tmp_path / "other")
+        assert diskcache.get_default_cache() is other and other.enabled
 
 
 # ---------------------------------------------------------------------------

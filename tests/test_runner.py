@@ -18,6 +18,7 @@ from repro.runner import (
     list_experiments,
     run_experiment,
 )
+from repro.runner.registry import ExperimentDef
 from repro.utils.diskcache import DiskCache, stable_hash
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -53,6 +54,19 @@ def test_stable_hash_known_value_pinned():
         stable_hash("spectralfly")
         == "febaae38bd3674414c4b773bb432e8a0f450ed7e259b3f6fdfe3436bcb992446"
     )
+
+
+def test_stable_hash_sets_are_order_insensitive():
+    assert stable_hash({3, 1, 2}) == stable_hash(frozenset((2, 3, 1)))
+    assert stable_hash({1, 2}) != stable_hash((1, 2))
+    assert stable_hash(b"\x01") != stable_hash("01")
+
+
+def test_stable_hash_rejects_unhashable_component():
+    # An object without a canonical form must not hash by its repr (an
+    # address would make every cache key unique per process).
+    with pytest.raises(TypeError, match="object"):
+        stable_hash({"k": object()})
 
 
 def test_spec_hash_ignores_name_and_param_order():
@@ -244,7 +258,7 @@ def test_run_experiment_unknown_name():
 
 # ---------------------------------------------------------------------------
 # CLI smoke tests (subprocess, isolated cache)
-def _cli(tmp_path, *args):
+def _cli(tmp_path, *args, **env):
     return subprocess.run(
         [sys.executable, "-m", "repro", *args],
         capture_output=True,
@@ -253,6 +267,7 @@ def _cli(tmp_path, *args):
             "PATH": "/usr/bin:/bin",
             "PYTHONPATH": SRC,
             "REPRO_CACHE_DIR": str(tmp_path / "cli-cache"),
+            **env,
         },
     )
 
@@ -393,3 +408,169 @@ def test_cli_help_names_only_the_experiment_verbs(tmp_path):
     assert "{list,run,sweep,report,bench,cache}" in proc.stdout
     for verb in ("serve", "submit", "status", "cancel", "stream"):
         assert verb not in proc.stdout
+
+
+# ---------------------------------------------------------------------------
+# Where `repro run` keeps its cells: the default root, another root, none.
+def _pkl(root: Path) -> list[Path]:
+    return list(root.glob("*/*.pkl"))
+
+
+def test_cli_run_no_cache_writes_nothing(tmp_path):
+    proc = _cli(tmp_path, "run", "fig3", "--quiet", "--no-cache")
+    assert proc.returncode == 0, proc.stderr
+    assert "0 hits" in proc.stdout
+    assert not _pkl(tmp_path / "cli-cache")
+
+
+def test_cli_run_cache_dir_overrides_environment(tmp_path):
+    other = tmp_path / "other"
+    proc = _cli(tmp_path, "run", "fig3", "--quiet", "--cache-dir", str(other))
+    assert proc.returncode == 0, proc.stderr
+    assert _pkl(other) and not _pkl(tmp_path / "cli-cache")
+    assert str(other) in proc.stdout
+
+
+def test_cli_run_repro_cache_0_disables_the_cache(tmp_path):
+    for _ in range(2):
+        proc = _cli(tmp_path, "run", "fig3", "--quiet", REPRO_CACHE="0")
+        assert proc.returncode == 0, proc.stderr
+        assert "fig3: done" in proc.stdout  # never "cached"
+    assert not _pkl(tmp_path / "cli-cache")
+
+
+def test_cli_set_without_equals_fails(tmp_path):
+    proc = _cli(tmp_path, "run", "fig3", "--set", "instances")
+    assert proc.returncode != 0
+    assert "--set expects key=value" in proc.stderr
+    assert not _pkl(tmp_path / "cli-cache")
+
+
+def test_cli_sweep_needs_a_multi_valued_axis(tmp_path):
+    proc = _cli(tmp_path, "sweep", "fig3", "--quiet")
+    assert proc.returncode != 0
+    assert "at least one multi-valued axis" in proc.stderr
+    assert not _pkl(tmp_path / "cli-cache")
+
+
+# ---------------------------------------------------------------------------
+# The `--set` grammar and name resolution, in-process.
+@pytest.mark.parametrize(
+    "text, value",
+    [
+        ("1", 1),
+        ("0.25", 0.25),
+        ("True", True),
+        ("minimal", "minimal"),
+        ("1,2", (1, 2)),
+        ("a,b", ("a", "b")),
+        ("x,1", ("x", 1)),
+        ("LPS,", ("LPS",)),
+        ("(3,7),(3,13)", ((3, 7), (3, 13))),
+    ],
+)
+def test_set_value_grammar(text, value):
+    from repro.runner.cli import _parse_value
+
+    assert _parse_value(text) == value
+
+
+def test_parse_sets_strips_keys_and_last_one_wins():
+    from repro.runner.cli import _parse_sets
+
+    assert _parse_sets(["a=1", " b =x", "a=2", "c=k=v"]) == {
+        "a": 2, "b": "x", "c": "k=v",
+    }
+
+
+def test_all_resolves_to_every_plain_experiment():
+    from repro.runner.cli import _resolve_names
+
+    names = _resolve_names(["all"])
+    assert names == [d.name for d in list_experiments(include_composite=False)]
+    assert "fig4" not in names and "fig4.design_space" in names
+
+
+def test_cli_list_filters_by_tag(capsys):
+    from repro.runner.cli import main
+
+    assert main(["list", "--tag", "table", "--verbose"]) == 0
+    out = capsys.readouterr().out
+    assert "table1" in out and "table2" in out and "fig6" not in out
+    # --verbose adds each driver path and its preset parameters.
+    assert get_experiment("table1").fn in out
+    assert "small:" in out and "full:" in out
+
+
+# ---------------------------------------------------------------------------
+# `sweep` and `report` in-process, on drivers that take no time.
+def _rows_run(values=(1, 2)):
+    return ExperimentResult(experiment="rows", rows=[{"v": v} for v in values])
+
+
+def _raising_run(values=(1,)):
+    raise RuntimeError(f"driver failed on {values}")
+
+
+_ROWS = ExperimentDef(
+    name="rows",
+    title="one row per value",
+    fn="test_runner:_rows_run",
+    presets={"small": {"values": (1, 2)}},
+    cell_axes=("values",),
+    tags=("cli-test",),
+)
+
+_RAISING = ExperimentDef(
+    name="raising",
+    title="a driver that always raises",
+    fn="test_runner:_raising_run",
+    presets={"small": {"values": (1,)}},
+    cell_axes=("values",),
+    tags=("cli-test",),
+)
+
+
+@pytest.fixture()
+def cli_registry(monkeypatch):
+    """Register the test drivers and restore the process-wide cache after.
+
+    ``--cache-dir`` replaces the default cache for the whole process.
+    """
+    from repro.utils import diskcache
+
+    monkeypatch.setattr(diskcache, "_default", diskcache._default)
+    monkeypatch.setitem(EXPERIMENTS, "rows", _ROWS)
+    monkeypatch.setitem(EXPERIMENTS, "raising", _RAISING)
+
+
+def test_cli_sweep_points_share_cells(tmp_path, capsys, cli_registry):
+    from repro.runner.cli import main
+
+    argv = ["sweep", "rows", "--set", "values=(1,2),(2,3)", "--quiet",
+            "--cache-dir", str(tmp_path / "c")]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert "2 points" in out
+    # The second point's cell values=2 came from the first point.
+    assert "0/2 cells" in out and "1/2 cells" in out
+    assert main(argv) == 0
+    assert capsys.readouterr().out.count("full") == 2
+
+
+def test_cli_report_records_failures_and_keeps_going(tmp_path, capsys, cli_registry):
+    from repro.runner.cli import main
+
+    out_dir = tmp_path / "results"
+    argv = ["report", "--tag", "cli-test", "-o", str(out_dir),
+            "--cache-dir", str(tmp_path / "c")]
+    assert main(argv) == 0
+    index = (out_dir / "INDEX.md").read_text()
+    assert "| rows | ok |" in index
+    assert "| raising | FAILED:" in index and "driver failed" in index
+    assert (out_dir / "rows.txt").read_text().count("\n") > 2
+    assert (out_dir / "raising.txt").read_text().startswith("FAILED:")
+    assert "wrote 2 tables" in capsys.readouterr().out
+    # A second report serves the good experiment from the cache.
+    assert main(argv) == 0
+    assert "| rows | cached |" in (out_dir / "INDEX.md").read_text()

@@ -334,3 +334,151 @@ def test_pool_run_matches_inline_run(tmp_path):
     assert list(pooled_cache.root.glob("*/*.tmp")) == []
     rerun = run_experiment(_SLOW, preset="small", jobs=2, cache=pooled_cache)[0]
     assert rerun.from_cache and rerun.result.rows == inline.result.rows
+
+
+# ---------------------------------------------------------------------------
+# Runs that share one cache root: every cell is computed once, wherever it
+# is first asked for, and re-asking is served from disk.
+
+_TINY_CALLS: list[tuple] = []
+
+
+def _tiny_run(values=(1, 2, 3)):
+    """One row per value; records each in-process call for the dedup checks."""
+    from repro.experiments.common import ExperimentResult
+
+    _TINY_CALLS.append(tuple(values))
+    return ExperimentResult(
+        experiment="tiny-sweep", rows=[{"v": v, "sq": v * v} for v in values]
+    )
+
+
+_TINY = ExperimentDef(
+    name="tiny-sweep",
+    title="one cheap cell per value",
+    fn="test_runner_executor:_tiny_run",
+    presets={"small": {"values": (1, 2, 3)}},
+    cell_axes=("values",),
+)
+
+
+@pytest.fixture()
+def tiny_calls():
+    _TINY_CALLS.clear()
+    yield _TINY_CALLS
+    _TINY_CALLS.clear()
+
+
+def test_progress_reports_each_cell_in_order(cache, tiny_calls):
+    lines: list[str] = []
+    report = run_experiment(_TINY, cache=cache, progress=lines.append)[0]
+    assert [r["v"] for r in report.result.rows] == [1, 2, 3]
+    assert [line.split(":")[0].strip() for line in lines] == [
+        "[1/3] tiny-sweep[values=1]",
+        "[2/3] tiny-sweep[values=2]",
+        "[3/3] tiny-sweep[values=3]",
+    ]
+    assert not any(line.endswith("cached") for line in lines)
+    # A run that reuses some cells labels exactly those as cached.
+    lines.clear()
+    run_experiment(
+        _TINY, overrides={"values": (2, 3, 4)}, cache=cache, progress=lines.append
+    )
+    assert [line.endswith("cached") for line in lines] == [True, True, False]
+
+
+def test_identical_rerun_is_full_hit(cache, tiny_calls):
+    first = run_experiment(_TINY, cache=cache)[0]
+    lines: list[str] = []
+    again = run_experiment(_TINY, cache=cache, progress=lines.append)[0]
+    assert again.from_cache and again.n_cells == 0
+    assert again.result.rows == first.result.rows
+    assert again.summary_line().startswith("tiny-sweep: cached")
+    # The merged result short-circuits: no cell is looked up or reported.
+    assert lines == []
+    assert len(tiny_calls) == 3
+
+
+def test_overlapping_runs_compute_only_new_cells(cache, tiny_calls):
+    run_experiment(_TINY, overrides={"values": (1, 2, 3)}, cache=cache)
+    report = run_experiment(_TINY, overrides={"values": (2, 3, 4)}, cache=cache)[0]
+    assert report.n_cells == 3 and report.n_cached_cells == 2
+    assert [r["v"] for r in report.result.rows] == [2, 3, 4]
+    assert tiny_calls == [(1,), (2,), (3,), (4,)]
+
+
+def test_list_and_tuple_overrides_share_cells(cache, tiny_calls):
+    # A list (what JSON or a caller's own code yields) splits into the same
+    # cells as the tuple the CLI builds, and both hash to one cache entry.
+    listed = run_experiment(_TINY, overrides={"values": [7, 8, 9]}, cache=cache)[0]
+    assert listed.n_cells == 3
+    tupled = run_experiment(_TINY, overrides={"values": (7, 8, 9)}, cache=cache)[0]
+    assert tupled.from_cache and tupled.result.rows == listed.result.rows
+    # A scalar for the tuple-valued axis is a one-cell spec, whose hash is
+    # its cell's: the entry the three-value run stored serves it whole.
+    single = run_experiment(_TINY, overrides={"values": 7}, cache=cache)[0]
+    assert single.from_cache and single.result.rows == [{"v": 7, "sq": 49}]
+    assert len(tiny_calls) == 3
+
+
+def test_concurrent_runs_share_one_cache_root(tmp_path, tiny_calls):
+    # Eight runs at once, each through its own DiskCache on one root (as
+    # separate `repro run` processes would be): overlapping cells
+    # ((0,1) and (1,2) share 1, ...) are computed at least once and
+    # otherwise served from the root, and no run tears another's entry.
+    import threading
+
+    root = tmp_path / "shared"
+    reports: dict[int, object] = {}
+    errors: list[BaseException] = []
+
+    def worker(i: int) -> None:
+        try:
+            reports[i] = run_experiment(
+                _TINY, overrides={"values": (i, i + 1)}, cache=DiskCache(root)
+            )[0]
+        except BaseException as exc:  # noqa: BLE001 — reported below
+            errors.append(exc)
+
+    threads = [threading.Thread(target=worker, args=(i,)) for i in range(8)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=60)
+    assert not errors, errors
+    assert sorted(reports) == list(range(8))
+    for i, report in reports.items():
+        assert [r["v"] for r in report.result.rows] == [i, i + 1]
+    cached = sum(r.n_cached_cells for r in reports.values())
+    computed = sum(r.n_cells - r.n_cached_cells for r in reports.values())
+    assert computed + cached == 16
+    assert computed == len(tiny_calls) >= 9
+    stats = DiskCache(root).stats()
+    assert stats["entries"] == 9 + 8  # every distinct cell, every merge
+    assert stats["tmp_files"] == 0
+
+
+def test_unknown_preset_rejected_before_running(cache, tiny_calls):
+    with pytest.raises(KeyError) as exc_info:
+        run_experiment(_TINY, preset="huge", cache=cache)
+    message = str(exc_info.value)
+    assert "huge" in message and "small" in message  # the presets it has
+    assert tiny_calls == [] and _entries(cache) == 0
+
+
+def test_disabled_cache_runs_every_cell_and_stores_nothing(tmp_path, tiny_calls):
+    cache = DiskCache(tmp_path / "off", enabled=False)
+    first = run_experiment(_TINY, cache=cache)[0]
+    again = run_experiment(_TINY, cache=cache)[0]
+    assert not again.from_cache and again.n_cached_cells == 0
+    assert again.result.rows == first.result.rows
+    assert len(tiny_calls) == 6
+    assert not (tmp_path / "off").exists()
+
+
+def test_composite_rerun_serves_every_part_from_cache(cache):
+    first = run_experiment(_MINI_COMPOSITE, preset="small", cache=cache)
+    again = run_experiment(_MINI_COMPOSITE, preset="small", cache=cache)
+    assert [r.name for r in again] == [r.name for r in first]
+    assert all(r.from_cache for r in again)
+    assert [r.result.rows for r in again] == [r.result.rows for r in first]
