@@ -52,14 +52,13 @@ def run(
     for coll in collectives:
         for algo in algorithms:
             for p in n_nodes:
+                # One schedule for the cell: every family runs the same DAG.
+                motif = CollectiveMotif(coll, algo, p, total_bytes=total_bytes)
                 results = {}
                 for family in cfg["topologies"]:
                     topo, spec = _cached_topo(scale, family)
                     tables = cached_tables(topo)
                     policy = make_routing(routing, tables, seed=seed)
-                    motif = CollectiveMotif(
-                        coll, algo, p, total_bytes=total_bytes
-                    )
                     results[family] = run_collective(
                         topo, policy, motif,
                         SimConfig(concentration=spec["concentration"]),

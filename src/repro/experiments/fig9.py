@@ -51,6 +51,8 @@ def run(
         motifs = {k: v for k, v in motifs.items() if k in motif_names}
     rows = []
     for motif_name, motif in motifs.items():
+        # Generated once: the engines read the messages and never mutate them.
+        messages = motif.generate()
         results = {}
         for name, spec in cfg["topologies"].items():
             topo = spec["build"]()
@@ -59,7 +61,7 @@ def run(
             sim_cfg = SimConfig(concentration=spec["concentration"])
             results[name] = run_motif(
                 topo, policy, motif, sim_cfg, placement_seed=seed + 1,
-                backend=backend,
+                backend=backend, messages=messages,
             )
         base_t = results[baseline]["makespan_ns"]
         for name, res in results.items():

@@ -8,11 +8,14 @@ batched BFS, the partitioner, and the simulator's routing tables consume.
 from __future__ import annotations
 
 import hashlib
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
 
 from repro.errors import ConstructionError
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    import scipy.sparse as sp
 
 
 def sorted_unique(keys: np.ndarray) -> np.ndarray:
@@ -165,6 +168,8 @@ class CSRGraph:
         """Scipy CSR adjacency matrix (cached for float64)."""
         if dtype == np.float64 and self._adj_cache is not None:
             return self._adj_cache
+        import scipy.sparse as sp
+
         data = np.ones(len(self.indices), dtype=dtype)
         mat = sp.csr_matrix(
             (data, self.indices, self.indptr), shape=(self.n, self.n)

@@ -10,17 +10,22 @@ machine room.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.csgraph import shortest_path
 
 from repro.layout.qap import LayoutResult
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    import scipy.sparse as sp
 
 CABLE_NS_PER_M = 5.0
 
 
 def _edge_latency_graph(layout: LayoutResult, switch_latency_ns: float) -> sp.csr_matrix:
     """Weighted adjacency: per-hop latency = cable + one switch traversal."""
+    import scipy.sparse as sp
+
     g = layout.topology.graph
     edges = g.edge_array()
     w = CABLE_NS_PER_M * layout.wire_lengths + switch_latency_ns
@@ -42,6 +47,8 @@ def latency_statistics(
     layout: LayoutResult, switch_latency_ns: float
 ) -> tuple[float, float]:
     """Return (average, maximum) end-to-end latency in ns over router pairs."""
+    from scipy.sparse.csgraph import shortest_path
+
     mat = _edge_latency_graph(layout, switch_latency_ns)
     dist = shortest_path(mat, method="D", directed=False)
     n = dist.shape[0]

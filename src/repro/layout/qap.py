@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from repro.graphs.csr import CSRGraph
 from repro.layout.machine_room import MachineRoom
@@ -93,6 +92,8 @@ def _em_stage(
     iters: int,
 ) -> np.ndarray:
     """Barycentre + Hungarian rounding iterations."""
+    from scipy.optimize import linear_sum_assignment
+
     nc = len(slot_of)
     phys = grid_pos.astype(np.float64) * np.array([2.0, 0.6])
     deg = w.sum(axis=1)

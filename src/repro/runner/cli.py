@@ -55,7 +55,12 @@ from typing import Any
 
 from repro.errors import BackendCapabilityError, ParameterError
 from repro.runner.executor import run_experiment
-from repro.runner.registry import EXPERIMENTS, get_experiment, list_experiments
+from repro.runner.registry import (
+    EXPERIMENTS,
+    _nesting_depth,
+    get_experiment,
+    list_experiments,
+)
 from repro.utils.diskcache import (
     DiskCache,
     configure_cache,
@@ -85,6 +90,33 @@ def _parse_sets(pairs: list[str]) -> dict[str, Any]:
             raise SystemExit(f"--set expects key=value, got {pair!r}")
         out[key.strip()] = _parse_value(value)
     return out
+
+
+def _check_axis_shapes(exp, preset: str, axes: dict[str, tuple]) -> None:
+    """Refuse a sweep axis whose points are not shaped like the elements of
+    the parameter's preset value, before any cell runs.
+
+    Every tuple-valued ``--set`` becomes a sweep axis, so one nested value
+    such as ``instances=(3,7)`` would otherwise sweep ``3`` and ``7``, and
+    each cell would fail inside the driver.
+    """
+    defs = [exp, *(get_experiment(p) for p in exp.parts)]
+    for key, points in axes.items():
+        for d in defs:
+            default = d.presets.get(preset, {}).get(key)
+            if not isinstance(default, (tuple, list)):
+                continue
+            depth = _nesting_depth(default) - 1
+            for point in points:
+                if _nesting_depth(point) < depth:
+                    raise SystemExit(
+                        f"sweep axis {key!r}: the point {point!r} is not "
+                        "shaped like an element of the default "
+                        f"{key}={default!r}; a tuple-valued --set is split "
+                        "into sweep points, so pass one tuple-valued "
+                        f"setting as a one-point axis: --set "
+                        f"'{key}=({points!r},)'"
+                    )
 
 
 def _select_cache(args: argparse.Namespace):
@@ -192,6 +224,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             "sweep needs at least one multi-valued axis "
             "(--set key=v1,v2,... or --seeds 0,1,2)"
         )
+    _check_axis_shapes(exp, preset, axes)
 
     names = sorted(axes)
     summary = []

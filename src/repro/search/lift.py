@@ -25,15 +25,17 @@ this identity along with the spectrum-union decomposition.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from repro.errors import ParameterError
 from repro.graphs.csr import CSRGraph
 from repro.spectral.eigen import _DENSE_THRESHOLD, _EIG_TOL
 from repro.utils.rng import as_rng
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    import scipy.sparse as sp
 
 
 def _check_signs(graph: CSRGraph, signs: np.ndarray) -> np.ndarray:
@@ -62,6 +64,8 @@ def two_lift(graph: CSRGraph, signs: np.ndarray) -> CSRGraph:
 
 def signed_adjacency(graph: CSRGraph, signs: np.ndarray) -> sp.csr_matrix:
     """The signed adjacency matrix ``A_s`` as a sparse CSR matrix."""
+    import scipy.sparse as sp
+
     signs = _check_signs(graph, signs)
     edges = graph.edge_array().astype(np.int64)
     u, v = edges[:, 0], edges[:, 1]
@@ -83,6 +87,8 @@ def signed_adjacency_extreme(graph: CSRGraph, signs: np.ndarray) -> float:
     if graph.n <= _DENSE_THRESHOLD:
         vals = np.linalg.eigvalsh(a_s.toarray())
         return float(max(abs(vals[0]), abs(vals[-1])))
+    import scipy.sparse.linalg as spla
+
     v0 = as_rng(0).standard_normal(graph.n)
     hi = spla.eigsh(a_s, k=1, which="LA", return_eigenvectors=False,
                     tol=_EIG_TOL, v0=v0)

@@ -19,7 +19,6 @@ need and is the only feasible route at the paper's 7K-vertex scale.
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse.linalg as spla
 
 from repro.graphs.csr import CSRGraph
 from repro.graphs.metrics import is_bipartite
@@ -53,6 +52,8 @@ def adjacency_extremes(g: CSRGraph, k_each: int = 4) -> tuple[np.ndarray, np.nda
         vals = np.linalg.eigvalsh(dense)
         k_each = min(k_each, n)
         return vals[:k_each], vals[-k_each:]
+    import scipy.sparse.linalg as spla
+
     adj = g.adjacency()
     k_each = min(k_each, n - 2)
     v0 = _lanczos_v0(n)
@@ -109,6 +110,7 @@ def normalized_laplacian_gap(g: CSRGraph) -> float:
     this equals :func:`mu1`.
     """
     import scipy.sparse as sp
+    import scipy.sparse.linalg as spla
 
     deg = g.degrees().astype(np.float64)
     if np.any(deg == 0):

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.sparse.csgraph import shortest_path
 
 from repro.graphs.bfs import (
     UNREACHED,
@@ -40,6 +41,48 @@ class TestSingleSource:
         assert np.array_equal(d, expect)
 
 
+# Graphs for the packed kernel: zero-degree rows where a per-row reduction
+# over CSR slices trips (first, between other rows, and last) and several
+# components.
+def _irregular(isolated):
+    n = 130
+    rng = np.random.default_rng(len(isolated) + sum(isolated))
+    others = np.setdiff1d(np.arange(n), isolated)
+    g = CSRGraph.from_edges(n, rng.choice(others, size=(2 * n, 2)))
+    assert not g.degrees()[list(isolated)].any()
+    assert not g.is_regular()
+    return g
+
+
+def _components():
+    cycle = [[i, (i + 1) % 40] for i in range(40)]
+    path = [[i, i + 1] for i in range(40, 99)]
+    triangle = [[100, 101], [101, 102], [100, 102]]
+    return CSRGraph.from_edges(110, np.array(cycle + path + triangle))
+
+
+GRAPHS = {
+    "isolated-first": lambda: _irregular((0,)),
+    "isolated-middle": lambda: _irregular((64, 65)),
+    "isolated-last": lambda: _irregular((128, 129)),
+    "isolated-everywhere": lambda: _irregular((0, 63, 64, 129)),
+    "components": _components,
+}
+
+
+def _by_single_source(g, sources):
+    rows = np.array([bfs_distances(g, s) for s in sources], np.int64)
+    rows = rows.reshape(len(sources), g.n)
+    rows[rows == UNREACHED] = -1
+    return rows
+
+
+def _by_scipy(g, sources):
+    d = shortest_path(g.adjacency(), unweighted=True, indices=sources)
+    d = np.asarray(d).reshape(len(sources), g.n)
+    return np.where(np.isinf(d), -1, d).astype(np.int64)
+
+
 class TestDistanceMatrix:
     @pytest.mark.parametrize("batch", [1, 3, 64, 512])
     def test_agrees_with_single_source(self, batch):
@@ -63,6 +106,46 @@ class TestDistanceMatrix:
         g = CSRGraph.from_edges(4, np.array([[0, 1], [2, 3]]))
         dm = distance_matrix(g)
         assert dm[0, 2] == -1
+
+    # The packed kernel against two independent references: per-source
+    # frontier BFS, and scipy's unweighted shortest paths.
+    @pytest.mark.parametrize("batch", [1, 63, 64, 65, 512])
+    @pytest.mark.parametrize("graph", sorted(GRAPHS))
+    def test_matches_references(self, graph, batch):
+        g = GRAPHS[graph]()
+        dm = distance_matrix(g, batch=batch)
+        assert dm.shape == (g.n, g.n) and dm.dtype == np.int16
+        everyone = np.arange(g.n)
+        assert np.array_equal(dm, _by_single_source(g, everyone))
+        assert np.array_equal(dm, _by_scipy(g, everyone))
+
+    @pytest.mark.parametrize("batch", [1, 63, 64, 65, 512])
+    @pytest.mark.parametrize("graph", sorted(GRAPHS))
+    def test_source_subset_int32(self, graph, batch):
+        g = GRAPHS[graph]()
+        rng = np.random.default_rng(batch)
+        # Unsorted, with repeats, and isolated vertices among them.
+        sources = np.concatenate([rng.integers(0, g.n, 150), [0, g.n - 1]])
+        dm = distance_matrix(g, sources=sources, batch=batch, dtype=np.int32)
+        assert dm.shape == (len(sources), g.n) and dm.dtype == np.int32
+        assert np.array_equal(dm, _by_single_source(g, sources))
+        assert np.array_equal(dm, _by_scipy(g, sources))
+
+    def test_unreachable_pairs_are_minus_one(self):
+        g = _components()
+        dm = distance_matrix(g, batch=64)
+        comp = np.arange(g.n)  # isolated vertices: one component each
+        comp[:40], comp[40:100], comp[100:103] = -1, -2, -3
+        same = comp[:, None] == comp[None, :]
+        assert (dm[~same] == -1).all()
+        assert (dm[same] >= 0).all()
+        assert (np.diag(dm) == 0).all()
+
+    def test_no_edges_and_no_sources(self):
+        g = CSRGraph(3, np.zeros(4, np.int64), np.zeros(0, np.int32))
+        assert np.array_equal(distance_matrix(g), np.where(np.eye(3), 0, -1))
+        empty = distance_matrix(g, sources=np.array([], np.int64))
+        assert empty.shape == (0, 3)
 
 
 class TestDistanceProfile:

@@ -453,6 +453,24 @@ def test_cli_sweep_needs_a_multi_valued_axis(tmp_path):
     assert not _pkl(tmp_path / "cli-cache")
 
 
+def test_cli_sweep_refuses_to_split_one_tuple_value(tmp_path):
+    # fig3's instances are (p, q) pairs: `instances=(3,7)` is one setting,
+    # not an axis sweeping 3 and 7, and no cell may run with either.
+    proc = _cli(tmp_path, "sweep", "fig3", "--set", "instances=(3,7)",
+                "--quiet")
+    assert proc.returncode != 0
+    assert "sweep axis 'instances': the point 3" in proc.stderr
+    assert "--set 'instances=((3, 7),)'" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not _pkl(tmp_path / "cli-cache")
+    # The spelling the message suggests runs that one setting.
+    proc = _cli(tmp_path, "sweep", "fig3", "--set", "instances=((3, 7),)",
+                "--quiet")
+    assert proc.returncode == 0, proc.stderr
+    assert "instances=(3, 7)" in proc.stdout
+    assert "sweep of fig3 (1 points)" in proc.stdout
+
+
 # ---------------------------------------------------------------------------
 # The `--set` grammar and name resolution, in-process.
 @pytest.mark.parametrize(

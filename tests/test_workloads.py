@@ -217,6 +217,24 @@ class TestRunner:
                       SimConfig(concentration=2), backend=backend,
                       messages=messages)
 
+    @pytest.mark.parametrize("backend", ["event", "batched"])
+    def test_shared_message_list_matches_fresh_lists(self, lps_3_5, sf_7,
+                                                     backend):
+        # Fig 9 and Fig 10 generate each motif once and hand the same list
+        # to every topology, so no engine may change what it was given.
+        motif = FFTMotif((4, 4))
+        shared = motif.generate()
+        cfg = SimConfig(concentration=2)
+
+        def once(topo, messages):
+            policy = make_routing("ugal", RoutingTables(topo.graph), seed=0)
+            return run_motif(topo, policy, motif, cfg, placement_seed=1,
+                             backend=backend, messages=messages)
+
+        for topo in (lps_3_5, sf_7):
+            assert once(topo, shared) == once(topo, None)
+        assert shared == motif.generate()
+
 
 #: Every motif family, sized for the live-simulator tests below.
 _LIVE_MOTIFS = [
