@@ -39,9 +39,9 @@ from collections import OrderedDict
 
 import numpy as np
 
-from repro.graphs.bfs import UNREACHED, bfs_distances, distance_matrix
+from repro.graphs.bfs import UNREACHED, bfs_distances
 from repro.graphs.csr import CSRGraph
-from repro.utils.diskcache import get_default_cache
+from repro.routing.tables import dense_distances
 
 _log = logging.getLogger(__name__)
 
@@ -251,15 +251,7 @@ class DenseOracle(RoutingOracle):
     ) -> None:
         super().__init__(graph)
         if dist is None:
-            if use_cache:
-                key = ("distance-matrix", graph.content_hash())
-                dist = get_default_cache().memoize(
-                    key, lambda: distance_matrix(graph).astype(np.int16)
-                )
-            else:
-                dist = distance_matrix(graph).astype(np.int16)
-        if np.any(dist < 0):
-            raise ValueError("router graph is disconnected")
+            dist = dense_distances(graph, use_cache)
         self.dist = dist
         self._diam = int(dist.max())
 

@@ -75,6 +75,33 @@ from repro.utils.diskcache import get_default_cache
 #: routers.  The stored arrays and the batched engine ignore it.
 LIST_CELLS_MAX = 1 << 21
 
+#: (router, neighbour slot, destination) cells one block of the next-hop
+#: table build compares at once: 2**18 keeps the block's temporaries to a
+#: few MB however large the graph.
+NH_BLOCK_CELLS = 1 << 18
+
+
+def dense_distances(graph: CSRGraph, use_cache: bool = True) -> np.ndarray:
+    """The ``n x n`` int16 hop-distance matrix of a connected router graph.
+
+    Built once by :func:`~repro.graphs.bfs.distance_matrix` straight into
+    int16 (no copy) and, with ``use_cache``, memoised in the default disk
+    cache under ``("distance-matrix", content hash)``.  Both
+    :attr:`RoutingTables.dist` and
+    :class:`~repro.routing.oracles.DenseOracle` get their matrix here.
+    Raises ``ValueError`` if the graph is disconnected.
+    """
+    if use_cache:
+        key = ("distance-matrix", graph.content_hash())
+        dist = get_default_cache().memoize(
+            key, lambda: distance_matrix(graph, dtype=np.int16)
+        )
+    else:
+        dist = distance_matrix(graph, dtype=np.int16)
+    if dist.size and dist.min() < 0:
+        raise ValueError("router graph is disconnected")
+    return dist
+
 
 class RoutingTables:
     """Hop-distance oracle (+ flat fast-path tables) for one router graph."""
@@ -134,15 +161,7 @@ class RoutingTables:
         if self._dist is None:
             if self.is_lazy:
                 raise self._lazy_error("the dense distance matrix")
-            if self._use_cache:
-                key = ("distance-matrix", self.graph.content_hash())
-                self._dist = get_default_cache().memoize(
-                    key, lambda: distance_matrix(self.graph).astype(np.int16)
-                )
-            else:
-                self._dist = distance_matrix(self.graph).astype(np.int16)
-            if np.any(self._dist < 0):
-                raise ValueError("router graph is disconnected")
+            self._dist = dense_distances(self.graph, self._use_cache)
         return self._dist
 
     @property
@@ -207,27 +226,60 @@ class RoutingTables:
         Returns ``(indptr, indices)``: the candidates of pair ``(u, d)``
         are ``indices[indptr[u*n + d] : indptr[u*n + d + 1]]``, listed in
         the same (sorted neighbour-row) order as :meth:`min_next_hops`.
+
+        Blocked over routers, about :data:`NH_BLOCK_CELLS` (router, slot,
+        destination) cells at a time, with no per-router Python loop.
+        Each router's neighbour row is padded to the largest degree with
+        the router itself, which is never one hop closer to anything than
+        itself, so irregular graphs take no branch.  A block gathers its
+        neighbours' distance rows into a ``(b, k, n)`` array and compares
+        them with its own rows minus one.  Pass 1 counts the hits over the
+        slot axis, in a dtype that holds the largest degree, into
+        ``indptr[1:]``, and one in-place ``cumsum`` turns the counts into
+        offsets.  Pass 2 recomputes the hits, lays them out in (router,
+        destination, slot) order and writes their neighbours into the
+        block's own span of ``indices``.  Beyond the two outputs the build
+        holds only one block's temporaries.
         """
         g = self.graph
         n = self.n
         dist = self.dist
-        counts = np.empty(n * n, dtype=np.int64)
-        chunks = []
-        for u in range(n):
-            row = g.neighbors(u)
-            # mask[d, j]: neighbour row[j] is a minimal next hop toward d.
-            mask = (dist[row] == dist[u] - np.int16(1)).T
-            d_idx, j_idx = np.nonzero(mask)
-            chunks.append(row[j_idx])
-            counts[u * n : (u + 1) * n] = mask.sum(axis=1)
+        deg = np.diff(g.indptr)
+        k = int(deg.max()) if n else 0
+        nbr = np.repeat(np.arange(n, dtype=np.int32), k).reshape(n, k)
+        nbr[np.arange(k) < deg[:, None]] = g.indices
+        block = max(1, min(n, NH_BLOCK_CELLS // max(1, k * n)))
+
+        def hits(u0: int, u1: int) -> np.ndarray:
+            # hits[r, j, d]: slot j of router u0 + r is a minimal next hop
+            # toward d.
+            return dist[nbr[u0:u1]] == (dist[u0:u1] - 1)[:, None, :]
+
         indptr = np.empty(n * n + 1, dtype=np.int64)
         indptr[0] = 0
-        np.cumsum(counts, out=indptr[1:])
-        indices = (
-            np.concatenate(chunks).astype(np.int32)
-            if chunks
-            else np.empty(0, dtype=np.int32)
-        )
+        count_dtype = np.min_scalar_type(k)
+        for u0 in range(0, n, block):
+            u1 = min(n, u0 + block)
+            indptr[1 + u0 * n : 1 + u1 * n].reshape(u1 - u0, n)[...] = (
+                np.add.reduce(
+                    hits(u0, u1).view(np.uint8), axis=1, dtype=count_dtype
+                )
+            )
+        np.cumsum(indptr, out=indptr)
+
+        indices = np.empty(int(indptr[-1]), dtype=np.int32)
+        # slot[r, d, j] = r * k + j: the flat position of slot j of the
+        # block's router r in ``nbr[u0:u1]``, the same for every block.
+        slot = np.empty((block, n, k), dtype=np.min_scalar_type(block * k))
+        slot[...] = np.arange(block * k).reshape(block, 1, k)
+        for u0 in range(0, n, block):
+            u1 = min(n, u0 + block)
+            ordered = np.ascontiguousarray(hits(u0, u1).transpose(0, 2, 1))
+            np.take(
+                nbr[u0:u1].ravel(),
+                np.compress(ordered.ravel(), slot[: u1 - u0].ravel()),
+                out=indices[indptr[u0 * n] : indptr[u1 * n]],
+            )
         return indptr, indices
 
     def build_fast_path(self) -> None:

@@ -191,11 +191,12 @@ def cmd_run(args: argparse.Namespace) -> int:
             progress=progress,
         ):
             _emit(report, args, out_dir)
-    stats = cache.stats()
-    print(
-        f"total {time.time() - t0:.1f}s — cache: {stats['session_hits']} hits, "
-        f"{stats['session_misses']} misses ({stats['root']})"
+    summary = (
+        f"{cache.hits} hits, {cache.misses} misses ({cache.root})"
+        if cache.enabled
+        else "disabled"
     )
+    print(f"total {time.time() - t0:.1f}s — cache: {summary}")
     return 0
 
 

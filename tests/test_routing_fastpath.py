@@ -6,9 +6,12 @@ to the reference numpy implementation (``min_next_hops``) for every
 family plus the generator graphs, for the stored arrays and for both forms
 of the event engine's views (Python lists up to ``LIST_CELLS_MAX`` cells,
 the arrays themselves past it), and pin the O(1) edge-id lookup to the
-CSR-position semantics the simulator's port arrays index by.
+CSR-position semantics the simulator's port arrays index by.  The blocked
+table build is also pinned byte for byte to the per-router loop it
+replaced, kept here as the reference, on graphs chosen for its edge cases.
 """
 
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -17,12 +20,19 @@ import pytest
 import repro.routing.tables as tables_mod
 from repro.errors import ConstructionError
 from repro.graphs.csr import CSRGraph
-from repro.graphs.generators import cycle_graph, hypercube_graph
+from repro.graphs.generators import (
+    cycle_graph,
+    hypercube_graph,
+    random_regular_graph,
+)
 from repro.routing import RoutingTables, make_routing
+from repro.routing.oracles import DenseOracle
 from repro.topology import (
+    SIM_CONFIGS,
     build_bundlefly,
     build_canonical_dragonfly,
     build_lps,
+    build_skywalk,
     build_slimfly,
 )
 
@@ -34,6 +44,7 @@ FAMILY_GRAPHS = {
     "bundlefly": lambda: build_bundlefly(5, 3).graph,
     "hypercube": lambda: hypercube_graph(4),
     "cycle": lambda: cycle_graph(9),
+    "skywalk": lambda: build_skywalk(50, 6, seed=3).graph,  # degrees 4-6
 }
 
 
@@ -80,6 +91,106 @@ class TestNextHopTableParity:
         n = g.n
         for u, d in [(0, 0), (0, 1), (3, 77), (n - 1, 0)]:
             assert tables.dist_flat[u * n + d] == tables.distance(u, d)
+
+
+def reference_next_hop_table(tables):
+    """The per-router loop the blocked build replaced: one numpy pass per
+    router over its neighbours' distance rows, chunks concatenated."""
+    g = tables.graph
+    n = tables.n
+    dist = tables.dist
+    counts = np.empty(n * n, dtype=np.int64)
+    chunks = []
+    for u in range(n):
+        row = g.neighbors(u)
+        # mask[d, j]: neighbour row[j] is a minimal next hop toward d.
+        mask = (dist[row] == dist[u] - np.int16(1)).T
+        _, j_idx = np.nonzero(mask)
+        chunks.append(row[j_idx])
+        counts[u * n : (u + 1) * n] = mask.sum(axis=1)
+    indptr = np.empty(n * n + 1, dtype=np.int64)
+    indptr[0] = 0
+    np.cumsum(counts, out=indptr[1:])
+    indices = (
+        np.concatenate(chunks).astype(np.int32)
+        if chunks
+        else np.empty(0, dtype=np.int32)
+    )
+    return indptr, indices
+
+
+def _complete_bipartite(a: int, b: int) -> CSRGraph:
+    left, right = np.meshgrid(np.arange(a), a + np.arange(b), indexing="ij")
+    return CSRGraph.from_edges(a + b, np.stack([left.ravel(), right.ravel()], 1))
+
+
+#: Every simulated topology, plus graphs chosen for the blocked build's
+#: edge cases: uneven degrees (padded slots), cells as wide as a degree of
+#: 130, a diameter past int8, and the smallest graphs.
+BUILD_GRAPHS = {
+    **{
+        f"{scale}-{name}": lambda build=spec["build"]: build().graph
+        for scale, cfg in SIM_CONFIGS.items()
+        for name, spec in cfg["topologies"].items()
+    },
+    "skywalk-irregular": FAMILY_GRAPHS["skywalk"],
+    "K130,130": lambda: _complete_bipartite(130, 130),
+    "cycle-301": lambda: cycle_graph(301),
+    "one-router": lambda: CSRGraph.from_edges(1, np.empty((0, 2), np.int64)),
+    "two-routers": lambda: CSRGraph.from_edges(2, np.array([[0, 1]])),
+}
+
+
+class TestBlockedBuild:
+    @pytest.mark.parametrize("name", sorted(BUILD_GRAPHS))
+    def test_matches_per_router_loop(self, name):
+        tables = RoutingTables(BUILD_GRAPHS[name](), use_cache=False)
+        indptr, indices = tables.next_hop_arrays()
+        ref_indptr, ref_indices = reference_next_hop_table(tables)
+        for got, ref in ((indptr, ref_indptr), (indices, ref_indices)):
+            assert (got.dtype, got.shape) == (ref.dtype, ref.shape)
+            assert got.tobytes() == ref.tobytes()
+
+    def test_edge_case_graphs_have_their_edge_cases(self):
+        degrees = np.diff(BUILD_GRAPHS["skywalk-irregular"]().indptr)
+        assert (degrees.min(), degrees.max()) == (4, 6)
+        tables = RoutingTables(BUILD_GRAPHS["K130,130"](), use_cache=False)
+        assert int(np.diff(tables.next_hop_arrays()[0]).max()) == 130
+        tables = RoutingTables(BUILD_GRAPHS["cycle-301"](), use_cache=False)
+        assert tables.diameter == 150 > np.iinfo(np.int8).max
+
+    def test_build_holds_little_beyond_its_output(self):
+        # The stored arrays are written in place: no chunk list, no
+        # concatenation, no dtype copy — only one block's temporaries.
+        tables = RoutingTables(build_lps(23, 13).graph, use_cache=False)
+        tables.dist  # an input of the build, not part of its peak
+        tracemalloc.start()
+        try:
+            indptr, indices = tables._build_next_hop_table()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * (indptr.nbytes + indices.nbytes)
+
+
+class TestDenseDistances:
+    def test_matrix_is_built_without_a_copy(self):
+        tables = RoutingTables(
+            random_regular_graph(4000, 3, seed=1), use_cache=False
+        )
+        tracemalloc.start()
+        try:
+            dist = tables.dist
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert dist.dtype == np.int16
+        assert peak < 1.6 * dist.nbytes
+
+    def test_dense_oracle_rejects_a_disconnected_graph(self):
+        g = CSRGraph.from_edges(4, np.array([[0, 1], [2, 3]]))
+        with pytest.raises(ValueError, match="disconnected"):
+            DenseOracle(g, use_cache=False)
 
 
 class TestEdgeIndex:

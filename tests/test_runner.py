@@ -419,7 +419,8 @@ def _pkl(root: Path) -> list[Path]:
 def test_cli_run_no_cache_writes_nothing(tmp_path):
     proc = _cli(tmp_path, "run", "fig3", "--quiet", "--no-cache")
     assert proc.returncode == 0, proc.stderr
-    assert "0 hits" in proc.stdout
+    # The summary names no cache directory it neither read nor wrote.
+    assert proc.stdout.rstrip().endswith("— cache: disabled")
     assert not _pkl(tmp_path / "cli-cache")
 
 
@@ -436,6 +437,7 @@ def test_cli_run_repro_cache_0_disables_the_cache(tmp_path):
         proc = _cli(tmp_path, "run", "fig3", "--quiet", REPRO_CACHE="0")
         assert proc.returncode == 0, proc.stderr
         assert "fig3: done" in proc.stdout  # never "cached"
+        assert proc.stdout.rstrip().endswith("— cache: disabled")
     assert not _pkl(tmp_path / "cli-cache")
 
 
