@@ -14,23 +14,28 @@ Two query paths coexist:
   numpy slices over the CSR row.  Simple, obviously correct, and what the
   property tests compare the fast path against.
 * the **flat next-hop table** — a CSR-of-CSR layout built once per topology
-  by :meth:`build_fast_path`: one flat candidate array ``nh_indices`` where
-  the candidates of pair ``(u, d)`` live at
-  ``nh_indptr[u * n + d] : nh_indptr[u * n + d + 1]``, in neighbour-row
-  order.  Together with :attr:`edge_index` (a dict mapping
+  by :meth:`build_fast_path`: the candidates of pair ``(u, d)`` live at
+  ``indptr[u * n + d] : indptr[u * n + d + 1]`` of one flat array, in
+  neighbour-row order.  Together with :attr:`edge_index` (a dict mapping
   ``u * n + v -> directed edge id``) this turns every per-hop query into
   one or two O(1) scalar reads — no per-packet numpy slicing, boolean
   masking, or ``searchsorted``.
 
-The table has **one stored form**: the ndarray pair ``(indptr int64,
-indices int32)`` that :meth:`next_hop_arrays` returns and the disk cache
-holds.  The vectorized batched engine gathers from it directly.  The
-event engine's scalar reads are ~3x faster on plain Python lists, so
-:attr:`nh_indptr`, :attr:`nh_indices` and :attr:`dist_flat` are *views*
-for it: lists up to :data:`LIST_CELLS_MAX` cells, the arrays themselves
-past it (to bound memory).  Each view is built on first request and kept;
-a process that only runs the batched engine never builds one.  Routing
-policies copy the views into attributes in ``bind_views()``, which
+The table has **one stored form**, the ndarray pair ``(indptr, slots)``
+that :meth:`next_hop_arrays` returns and the disk cache holds.  A next hop
+of ``u`` is stored as its *slot* in ``u``'s sorted CSR row, so
+``graph.indptr[u] + slot`` is the directed edge id and
+``graph.indices[graph.indptr[u] + slot]`` the router.  The dtypes follow
+from the graph's size (:func:`next_hop_dtypes`): ``uint8`` slots up to
+degree 256, and int32 offsets while ``n * n * k < 2**31`` (int64 past it).
+The vectorized batched engine gathers from the stored arrays directly.
+The event engine routes by router id, and its scalar reads are ~3x faster
+on plain Python lists, so :attr:`nh_indptr`, :attr:`nh_indices` (the slots
+decoded to router ids) and :attr:`dist_flat` are *views* for it: lists up
+to :data:`LIST_CELLS_MAX` cells, arrays past it (to bound memory).  Each
+view is built on first request and kept; a process that only runs the
+batched engine never builds one.  Routing policies copy the views into
+attributes in ``bind_views()``, which
 :class:`~repro.sim.network.NetworkSimulator` calls in its constructor so
 no timed run pays for the conversion (a policy used without a simulator
 binds on its first hop); :class:`FaultMask` reads them from the tables.
@@ -68,17 +73,31 @@ from repro.graphs.csr import CSRGraph
 from repro.utils.diskcache import get_default_cache
 
 #: Above this many ``(router, destination)`` cells the event engine's views
-#: of the flat tables (:attr:`RoutingTables.nh_indptr` and friends) are the
-#: numpy arrays themselves (memory-bounded); at or below it they are Python
-#: lists, trading memory for the fastest possible scalar indexing.  2**21
-#: cells covers every topology of the small/paper size classes up to ~1.4K
-#: routers.  The stored arrays and the batched engine ignore it.
+#: of the flat tables (:attr:`RoutingTables.nh_indptr` and friends) are
+#: numpy arrays (memory-bounded); at or below it they are Python lists,
+#: trading memory for the fastest possible scalar indexing.  2**21 cells is
+#: 1,448 routers: every small-preset topology and the paper preset's
+#: SpectralFly (1,092 routers) and DragonFly (1,104) get lists, while
+#: SlimFly(27) and BundleFly(9,9) (1,458 routers, 2,125,764 cells) get
+#: arrays.  The stored arrays and the batched engine ignore it.
 LIST_CELLS_MAX = 1 << 21
 
 #: (router, neighbour slot, destination) cells one block of the next-hop
 #: table build compares at once: 2**18 keeps the block's temporaries to a
 #: few MB however large the graph.
 NH_BLOCK_CELLS = 1 << 18
+
+
+def next_hop_dtypes(n: int, k: int) -> tuple[np.dtype, np.dtype]:
+    """``(offset dtype, slot dtype)`` of the stored next-hop table.
+
+    For an ``n``-router graph of largest degree ``k``: a cell holds at most
+    ``k`` hops, so int32 offsets hold every table of fewer than ``2**31``
+    (router, destination, slot) cells and int64 the rest; slots run from 0
+    to ``k - 1``, ``uint8`` up to degree 256.
+    """
+    offsets = np.dtype(np.int32 if n * n * k < 1 << 31 else np.int64)
+    return offsets, np.min_scalar_type(max(k - 1, 0))
 
 
 def dense_distances(graph: CSRGraph, use_cache: bool = True) -> np.ndarray:
@@ -131,7 +150,7 @@ class RoutingTables:
 
         # Flat next-hop arrays; built lazily (only simulations need them).
         self._nh_indptr: np.ndarray | None = None
-        self._nh_indices: np.ndarray | None = None
+        self._nh_slots: np.ndarray | None = None
 
     # -- oracle seam ---------------------------------------------------------
     @property
@@ -223,9 +242,11 @@ class RoutingTables:
     def _build_next_hop_table(self) -> tuple[np.ndarray, np.ndarray]:
         """CSR-of-CSR minimal next hops for every (router, destination).
 
-        Returns ``(indptr, indices)``: the candidates of pair ``(u, d)``
-        are ``indices[indptr[u*n + d] : indptr[u*n + d + 1]]``, listed in
-        the same (sorted neighbour-row) order as :meth:`min_next_hops`.
+        Returns ``(indptr, slots)`` in the dtypes of
+        :func:`next_hop_dtypes`: the candidates of pair ``(u, d)`` are the
+        neighbour slots ``slots[indptr[u*n + d] : indptr[u*n + d + 1]]`` of
+        ``u``, ascending, so they name the neighbours in the same (sorted
+        row) order as :meth:`min_next_hops`.
 
         Blocked over routers, about :data:`NH_BLOCK_CELLS` (router, slot,
         destination) cells at a time, with no per-router Python loop.
@@ -237,15 +258,16 @@ class RoutingTables:
         slot axis, in a dtype that holds the largest degree, into
         ``indptr[1:]``, and one in-place ``cumsum`` turns the counts into
         offsets.  Pass 2 recomputes the hits, lays them out in (router,
-        destination, slot) order and writes their neighbours into the
-        block's own span of ``indices``.  Beyond the two outputs the build
-        holds only one block's temporaries.
+        destination, slot) order and compresses the slot numbers of the
+        hits into the block's own span of ``slots``.  Beyond the two
+        outputs the build holds only one block's temporaries.
         """
         g = self.graph
         n = self.n
         dist = self.dist
         deg = np.diff(g.indptr)
         k = int(deg.max()) if n else 0
+        offset_dtype, slot_dtype = next_hop_dtypes(n, k)
         nbr = np.repeat(np.arange(n, dtype=np.int32), k).reshape(n, k)
         nbr[np.arange(k) < deg[:, None]] = g.indices
         block = max(1, min(n, NH_BLOCK_CELLS // max(1, k * n)))
@@ -255,7 +277,7 @@ class RoutingTables:
             # toward d.
             return dist[nbr[u0:u1]] == (dist[u0:u1] - 1)[:, None, :]
 
-        indptr = np.empty(n * n + 1, dtype=np.int64)
+        indptr = np.empty(n * n + 1, dtype=offset_dtype)
         indptr[0] = 0
         count_dtype = np.min_scalar_type(k)
         for u0 in range(0, n, block):
@@ -267,20 +289,19 @@ class RoutingTables:
             )
         np.cumsum(indptr, out=indptr)
 
-        indices = np.empty(int(indptr[-1]), dtype=np.int32)
-        # slot[r, d, j] = r * k + j: the flat position of slot j of the
-        # block's router r in ``nbr[u0:u1]``, the same for every block.
-        slot = np.empty((block, n, k), dtype=np.min_scalar_type(block * k))
-        slot[...] = np.arange(block * k).reshape(block, 1, k)
+        slots = np.empty(int(indptr[-1]), dtype=slot_dtype)
+        # slot_of[r, d, j] = j, the same for every block.
+        slot_of = np.empty((block, n, k), dtype=slot_dtype)
+        slot_of[...] = np.arange(k, dtype=slot_dtype)
         for u0 in range(0, n, block):
             u1 = min(n, u0 + block)
             ordered = np.ascontiguousarray(hits(u0, u1).transpose(0, 2, 1))
-            np.take(
-                nbr[u0:u1].ravel(),
-                np.compress(ordered.ravel(), slot[: u1 - u0].ravel()),
-                out=indices[indptr[u0 * n] : indptr[u1 * n]],
+            np.compress(
+                ordered.ravel(),
+                slot_of[: u1 - u0].ravel(),
+                out=slots[indptr[u0 * n] : indptr[u1 * n]],
             )
-        return indptr, indices
+        return indptr, slots
 
     def build_fast_path(self) -> None:
         """Build (or load from the disk cache) the flat next-hop arrays."""
@@ -289,24 +310,29 @@ class RoutingTables:
         if self.is_lazy:
             raise self._lazy_error("the flat next-hop table")
         if self._use_cache:
-            key = ("next-hop-table", self.graph.content_hash())
-            indptr, indices = get_default_cache().memoize(
+            # Not the ("next-hop-table", ...) key of the router-id tables
+            # this format replaced: such an entry is never read as slots.
+            key = ("next-hop-slots", self.graph.content_hash())
+            indptr, slots = get_default_cache().memoize(
                 key, self._build_next_hop_table
             )
         else:
-            indptr, indices = self._build_next_hop_table()
+            indptr, slots = self._build_next_hop_table()
         self._nh_indptr = indptr
-        self._nh_indices = indices
+        self._nh_slots = slots
 
     def next_hop_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """The flat table as stored: ``(indptr int64, indices int32)``.
+        """The flat table as stored: ``(indptr, slots)``.
 
-        ``indices[indptr[u*n + d] : indptr[u*n + d + 1]]`` are the minimal
-        next hops of ``(u, d)``.  Built or loaded on first use; what the
-        batched engine gathers from.
+        ``slots[indptr[u*n + d] : indptr[u*n + d + 1]]`` are the minimal
+        next hops of ``(u, d)`` as slots of ``u``'s CSR row:
+        ``graph.indptr[u] + slot`` is the hop's directed edge id and
+        ``graph.indices`` at that id its router.  int32 or int64 offsets
+        and ``uint8`` slots up to degree 256 (:func:`next_hop_dtypes`).
+        Built or loaded on first use; what the batched engine gathers from.
         """
         self.build_fast_path()
-        return self._nh_indptr, self._nh_indices
+        return self._nh_indptr, self._nh_slots
 
     def _view(self, arr: np.ndarray):
         return arr.tolist() if self.n * self.n <= LIST_CELLS_MAX else arr
@@ -324,9 +350,22 @@ class RoutingTables:
 
     @cached_property
     def nh_indices(self):
-        """Event-engine view of the table's ``indices`` (see
-        :attr:`nh_indptr`; built on first use)."""
-        return self._view(self.next_hop_arrays()[1])
+        """Event-engine view of the table's hops as router ids (see
+        :attr:`nh_indptr`; built on first use).
+
+        The stored slots are decoded once, one router's span at a time
+        through its own neighbour row, into an int32 array: that array
+        past :data:`LIST_CELLS_MAX` cells, its list up to it.
+        """
+        g = self.graph
+        n = self.n
+        indptr, slots = self.next_hop_arrays()
+        hops = np.empty(len(slots), dtype=np.int32)
+        starts = indptr[np.arange(n + 1) * n].tolist()
+        for u in range(n):
+            lo, hi = starts[u], starts[u + 1]
+            np.take(g.neighbors(u), slots[lo:hi], out=hops[lo:hi])
+        return self._view(hops)
 
     @cached_property
     def dist_flat(self):
@@ -336,10 +375,11 @@ class RoutingTables:
         return self._view(self.dist.ravel())
 
     def table_next_hops(self, u: int, d: int) -> np.ndarray:
-        """Candidates of ``(u, d)`` read from the flat table (test hook)."""
-        indptr, indices = self.next_hop_arrays()
+        """Candidates of ``(u, d)`` read from the flat table, as router ids
+        (test hook)."""
+        indptr, slots = self.next_hop_arrays()
         k = u * self.n + d
-        return indices[indptr[k] : indptr[k + 1]]
+        return self.graph.neighbors(u)[slots[indptr[k] : indptr[k + 1]]]
 
     def fault_mask(self) -> "FaultMask":
         """A fresh incremental fault overlay on this table (pristine)."""

@@ -22,8 +22,9 @@ its injection time.
   engine's sources replay), and :meth:`run_closed_loop` releases a message
   once every dependency is delivered (per-cycle frontier arrays).  Each
   endpoint's NIC serializes its messages in trigger order;
-* **routing** is a vectorized next-hop lookup per batch: two
-  ``nh_indptr`` gathers and one ``nh_indices`` gather, uniform tie-breaks
+* **routing** is a vectorized next-hop lookup per batch: two ``indptr``
+  gathers and one gather of the stored neighbour slots, which the row
+  start of the router turns into directed edge ids, uniform tie-breaks
   from one block of uniforms (Valiant/UGAL source decisions are vectorized
   the same way).  A forwarded packet is routed at its next router as it
   leaves its port, and waits there under the cycle it arrives in;
@@ -168,27 +169,26 @@ class BatchedSimulator:
         self._started = False
         self._finished = False
 
-        # The flat next-hop table as stored (int64 indptr, int32 indices):
-        # the vectorized gathers read it directly, with no per-simulation
-        # conversion, and the event engine's list views are never built.
-        # Oracle-backed tables skip the O(n^2) flat table entirely: minimal
-        # picks go through the oracle's vectorized pick_minimal and UGAL's
-        # distance probes through distance_batch.
+        # The flat next-hop table as stored (int32 or int64 indptr, uint8
+        # neighbour slots up to degree 256): the vectorized gathers read it
+        # directly, with no per-simulation conversion, and the event
+        # engine's views are never built.  A picked slot of router u is
+        # the directed edge g.indptr[u] + slot.  Oracle-backed tables skip
+        # the O(n^2) flat table entirely: minimal picks go through the
+        # oracle's vectorized pick_minimal and UGAL's distance probes
+        # through distance_batch.
         if self.tables.is_lazy:
             self._oracle = self.tables.oracle
             self._nh_indptr = None
-            self._nh_indices = None
+            self._nh_slots = None
             self._dist = None
         else:
             self._oracle = None
-            self._nh_indptr, self._nh_indices = self.tables.next_hop_arrays()
+            self._nh_indptr, self._nh_slots = self.tables.next_hop_arrays()
             self._dist = self.tables.dist  # (n, n) int16
-        # Directed-edge id lookup: the flat keys u*n + v are globally sorted
-        # (heads ascend, CSR rows are sorted), so one searchsorted resolves
-        # a whole batch of (u, v) pairs.
-        heads = np.repeat(np.arange(g.n, dtype=np.int64), np.diff(g.indptr))
-        self._edge_keys = heads * g.n + np.asarray(g.indices, dtype=np.int64)
-        self._n_dir = len(self._edge_keys)
+        self._row_start = g.indptr  # router -> its first directed edge id
+        self._edge_to = g.indices  # directed edge id -> downstream router
+        self._n_dir = len(g.indices)
         # Every port id must fit the packed key's 23-bit port field.
         if self._n_dir + self.n_endpoints >= (1 << (63 - _PORT_SHIFT)):
             raise SimulationError(
@@ -376,9 +376,6 @@ class BatchedSimulator:
         self._started = True
         return True
 
-    def _edge_ids(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        return np.searchsorted(self._edge_keys, u * self.n_routers + v)
-
     def _pick_minimal(
         self, u: np.ndarray, d: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
@@ -386,7 +383,8 @@ class BatchedSimulator:
 
         Returns ``(hop, eid)``: the hop and the directed edge id of
         ``(u, hop)``.  The oracle hands back the edge it picked; the flat
-        table gives the hop, whose edge is then looked up.
+        table gives the edge's slot in ``u``'s CSR row, so the edge is
+        ``indptr[u] + slot`` and its hop one gather away.
         """
         if self._oracle is not None:
             # Same draw shape as the flat-table path (one uniform per
@@ -402,19 +400,20 @@ class BatchedSimulator:
                     )
             except ValueError as e:
                 raise SimulationError(str(e)) from None
-            return self.topo.graph.indices[eid].astype(np.int64), eid
-        k = u * self.n_routers + d
-        lo = self._nh_indptr[k]
-        width = self._nh_indptr[k + 1] - lo
-        if width.size and int(width.min()) <= 0:
-            bad = int(np.argmin(width))
-            raise SimulationError(
-                f"no minimal next hop from {int(u[bad])} to {int(d[bad])}"
-            )
-        offs = (self.rng.random(len(k)) * width).astype(np.int64)
-        # Stored indices are int32; router ids travel as int64 everywhere.
-        hop = self._nh_indices[lo + offs].astype(np.int64)
-        return hop, self._edge_ids(u, hop)
+        else:
+            k = u * self.n_routers + d
+            lo = self._nh_indptr[k]
+            width = self._nh_indptr[k + 1] - lo
+            if width.size and int(width.min()) <= 0:
+                bad = int(np.argmin(width))
+                raise SimulationError(
+                    f"no minimal next hop from {int(u[bad])} to "
+                    f"{int(d[bad])}"
+                )
+            offs = (self.rng.random(len(k)) * width).astype(np.int64)
+            eid = self._row_start[u] + self._nh_slots[lo + offs]
+        # Graph indices are int32; router ids travel as int64 everywhere.
+        return self._edge_to[eid].astype(np.int64), eid
 
     def _port_queued_bytes(self, c: int) -> np.ndarray:
         """Queued bytes per router output port (UGAL's queue signal).
@@ -941,8 +940,7 @@ class BatchedSimulator:
                     self._phase[r[reached]] = 1
                 toward = np.where(has & ~reached, inter, toward)
             if mask_on:
-                hop = self._pick_next_live(cur_r, toward)
-                eid = self._edge_ids(cur_r, hop)
+                hop, eid = self._pick_next_live(cur_r, toward)
             else:
                 hop, eid = self._pick_minimal(cur_r, toward)
             key[route] = eid
@@ -1227,8 +1225,9 @@ class BatchedSimulator:
 
         Builds the live :class:`FaultMask` (the same failure-count overlay
         the event engine mutates, so recovery composes exactly), the
-        per-entry directed-edge ids of the flat next-hop table (one gather
-        per epoch rewrite), and the boundary cycle of every schedule event
+        per-entry directed-edge ids of the flat next-hop table (its slots
+        offset by their router's row start; one gather per epoch rewrite),
+        and the boundary cycle of every schedule event
         (``ceil(t / tau)`` — events at a cycle's opening edge apply before
         any packet of that cycle, the batch analogue of fault events
         sorting below traffic events at equal timestamps).
@@ -1246,7 +1245,7 @@ class BatchedSimulator:
             np.arange(len(indptr) - 1, dtype=np.int64), np.diff(indptr)
         )
         entry_u = self._entry_cell // self.n_routers
-        self._entry_eid = self._edge_ids(entry_u, self._nh_indices)
+        self._entry_eid = self._row_start[entry_u] + self._nh_slots
         self._rebuild_masked()
         tau = self._tau
         self._ev_cycles = np.array(
@@ -1258,9 +1257,9 @@ class BatchedSimulator:
         """Rewrite the masked CSR-of-CSR next-hop arrays from the mask.
 
         A pure function of the mask's failure counts: restoring every
-        fault reproduces the pristine arrays bit-for-bit, which is what
-        keeps recovery exact.  One boolean gather + bincount + cumsum over
-        the flat table per epoch boundary.
+        fault reproduces the pristine arrays bit-for-bit, dtypes included,
+        which is what keeps recovery exact.  One boolean gather + bincount
+        + cumsum over the flat table per epoch boundary.
         """
         dead = np.asarray(self._mask._dead_edge, dtype=np.int64)
         alive_e = dead[self._entry_eid] == 0
@@ -1268,17 +1267,20 @@ class BatchedSimulator:
         counts = np.bincount(
             self._entry_cell[alive_e], minlength=ncells
         )
-        indptr = np.empty(ncells + 1, dtype=np.int64)
+        indptr = np.empty(ncells + 1, dtype=self._nh_indptr.dtype)
         indptr[0] = 0
         np.cumsum(counts, out=indptr[1:])
         self._m_indptr = indptr
-        self._m_indices = self._nh_indices[alive_e]
+        self._m_slots = self._nh_slots[alive_e]
 
-    def _pick_next_live(self, u: np.ndarray, d: np.ndarray) -> np.ndarray:
+    def _pick_next_live(
+        self, u: np.ndarray, d: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
         """Masked minimal pick with non-minimal fallback; ``-1`` = drop.
 
-        The masked arrays answer the common case in one vectorized gather;
-        pairs whose minimal set is fully severed fall back to the live
+        Returns ``(hop, eid)`` like :meth:`_pick_minimal`.  The masked
+        arrays answer the common case in one vectorized gather; pairs
+        whose minimal set is fully severed fall back to the live
         neighbours greedily closest to the destination under the stale
         metric (``FaultMask.fallback_candidates``, counted in
         ``stats.nonminimal_hops``) — rare enough to loop.
@@ -1289,8 +1291,11 @@ class BatchedSimulator:
         offs = (self.rng.random(len(k)) * width).astype(np.int64)
         ok = width > 0
         nxt = np.full(len(k), -1, dtype=np.int64)
+        eid = np.full(len(k), -1, dtype=np.int64)
         if ok.any():
-            nxt[ok] = self._m_indices[lo[ok] + offs[ok]]
+            e = self._row_start[u[ok]] + self._m_slots[lo[ok] + offs[ok]]
+            eid[ok] = e
+            nxt[ok] = self._edge_to[e]
         fb = np.nonzero(~ok)[0]
         if fb.size:
             mask = self._mask
@@ -1300,8 +1305,10 @@ class BatchedSimulator:
                 cands = mask.fallback_candidates(int(u[i]), int(d[i]))
                 if cands:
                     stats.nonminimal_hops += 1
-                    nxt[i] = cands[int(rng.random() * len(cands))]
-        return nxt
+                    v = cands[int(rng.random() * len(cands))]
+                    nxt[i] = v
+                    eid[i] = self.tables.directed_edge_id(int(u[i]), v)
+        return nxt, eid
 
     def _apply_fault_event(self, ev) -> np.ndarray:
         """Apply one schedule event: mutate the mask, fix up the waiting set.

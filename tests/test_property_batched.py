@@ -228,5 +228,7 @@ class TestEpochRewriteConservation:
         # the last recovery the masked arrays equal the pristine table
         # bit-for-bit — stale-table resilience with exact recovery.
         assert net._mask.pristine
+        assert net._m_indptr.dtype == net._nh_indptr.dtype
         assert np.array_equal(net._m_indptr, net._nh_indptr)
-        assert np.array_equal(net._m_indices, net._nh_indices)
+        assert net._m_slots.dtype == net._nh_slots.dtype
+        assert np.array_equal(net._m_slots, net._nh_slots)

@@ -5,10 +5,12 @@ to the reference numpy implementation (``min_next_hops``) for every
 (router, destination) pair — these tests pin that across one topology per
 family plus the generator graphs, for the stored arrays and for both forms
 of the event engine's views (Python lists up to ``LIST_CELLS_MAX`` cells,
-the arrays themselves past it), and pin the O(1) edge-id lookup to the
-CSR-position semantics the simulator's port arrays index by.  The blocked
-table build is also pinned byte for byte to the per-router loop it
-replaced, kept here as the reference, on graphs chosen for its edge cases.
+arrays past it), and pin the O(1) edge-id lookup to the CSR-position
+semantics the simulator's port arrays index by.  The blocked, slot-coded
+table build is also pinned to the per-router loop that built router-id
+tables, kept here as the reference, on graphs chosen for its edge cases:
+equal offsets, and slots that decode to the reference's router ids byte
+for byte.
 """
 
 import tracemalloc
@@ -18,6 +20,7 @@ import numpy as np
 import pytest
 
 import repro.routing.tables as tables_mod
+import repro.utils.diskcache as diskcache
 from repro.errors import ConstructionError
 from repro.graphs.csr import CSRGraph
 from repro.graphs.generators import (
@@ -27,6 +30,7 @@ from repro.graphs.generators import (
 )
 from repro.routing import RoutingTables, make_routing
 from repro.routing.oracles import DenseOracle
+from repro.routing.tables import next_hop_dtypes
 from repro.topology import (
     SIM_CONFIGS,
     build_bundlefly,
@@ -63,8 +67,8 @@ class TestNextHopTableParity:
         g = FAMILY_GRAPHS[family]()
         tables = RoutingTables(g, use_cache=False)
         tables.build_fast_path()
-        indptr, indices = tables.next_hop_arrays()
-        assert (indptr.dtype, indices.dtype) == (np.int64, np.int32)
+        indptr, slots = tables.next_hop_arrays()
+        assert (indptr.dtype, slots.dtype) == (np.int32, np.uint8)
         nh_indptr, nh_indices = tables.nh_indptr, tables.nh_indices
         assert type(nh_indptr) is type(nh_indices) is view_type
         for u in range(g.n):
@@ -119,6 +123,19 @@ def reference_next_hop_table(tables):
     return indptr, indices
 
 
+def decode_slots(graph, indptr, slots):
+    """The stored slots as router ids: the hop of slot ``j`` of router
+    ``u`` is ``graph.indices[graph.indptr[u] + j]``."""
+    n = graph.n
+    heads = np.repeat(np.arange(n * n, dtype=np.int64) // max(n, 1),
+                      np.diff(indptr))
+    return graph.indices[graph.indptr[heads] + slots]
+
+
+def _max_degree(graph) -> int:
+    return int(np.diff(graph.indptr).max()) if graph.n else 0
+
+
 def _complete_bipartite(a: int, b: int) -> CSRGraph:
     left, right = np.meshgrid(np.arange(a), a + np.arange(b), indexing="ij")
     return CSRGraph.from_edges(a + b, np.stack([left.ravel(), right.ravel()], 1))
@@ -143,13 +160,27 @@ BUILD_GRAPHS = {
 
 class TestBlockedBuild:
     @pytest.mark.parametrize("name", sorted(BUILD_GRAPHS))
-    def test_matches_per_router_loop(self, name):
-        tables = RoutingTables(BUILD_GRAPHS[name](), use_cache=False)
-        indptr, indices = tables.next_hop_arrays()
+    def test_matches_per_router_loop(self, name, monkeypatch):
+        # Array views: the list form is the same decoded array's tolist()
+        # (TestNextHopTableParity covers both), and at paper scale it
+        # costs hundreds of MB.
+        monkeypatch.setattr(tables_mod, "LIST_CELLS_MAX", 0)
+        g = BUILD_GRAPHS[name]()
+        tables = RoutingTables(g, use_cache=False)
+        indptr, slots = tables.next_hop_arrays()
+        assert (indptr.dtype, slots.dtype) == next_hop_dtypes(
+            g.n, _max_degree(g)
+        )
         ref_indptr, ref_indices = reference_next_hop_table(tables)
-        for got, ref in ((indptr, ref_indptr), (indices, ref_indices)):
-            assert (got.dtype, got.shape) == (ref.dtype, ref.shape)
-            assert got.tobytes() == ref.tobytes()
+        assert indptr.shape == ref_indptr.shape
+        assert np.array_equal(indptr, ref_indptr)
+        hops = decode_slots(g, indptr, slots)
+        assert (hops.dtype, hops.shape) == (
+            ref_indices.dtype, ref_indices.shape
+        )
+        assert hops.tobytes() == ref_indices.tobytes()
+        # The event engine's view decodes the same router ids.
+        assert tables.nh_indices.tobytes() == ref_indices.tobytes()
 
     def test_edge_case_graphs_have_their_edge_cases(self):
         degrees = np.diff(BUILD_GRAPHS["skywalk-irregular"]().indptr)
@@ -166,11 +197,65 @@ class TestBlockedBuild:
         tables.dist  # an input of the build, not part of its peak
         tracemalloc.start()
         try:
-            indptr, indices = tables._build_next_hop_table()
+            indptr, slots = tables._build_next_hop_table()
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 1.25 * (indptr.nbytes + indices.nbytes)
+        assert peak <= 1.25 * (indptr.nbytes + slots.nbytes)
+
+
+class TestStoredFormat:
+    def test_dtype_rule(self):
+        # Offsets: int32 while every (router, destination, slot) cell
+        # count stays below 2**31, int64 from it on (checked on the rule:
+        # no such table is allocated).
+        assert next_hop_dtypes(1024, 2047)[0] == np.int32  # 2**31 - 2**20
+        assert next_hop_dtypes(1024, 2048)[0] == np.int64  # 2**31
+        assert next_hop_dtypes(46341, 1)[0] == np.int64  # 46341**2 > 2**31
+        assert next_hop_dtypes(46340, 1)[0] == np.int32
+        # Slots: uint8 up to degree 256.
+        assert next_hop_dtypes(2, 256)[1] == np.uint8
+        assert next_hop_dtypes(2, 257)[1] == np.uint16
+        assert next_hop_dtypes(1, 0) == (np.int32, np.uint8)
+
+    @pytest.mark.parametrize(
+        "scale,name",
+        [(scale, name) for scale, cfg in SIM_CONFIGS.items()
+         for name in cfg["topologies"]],
+    )
+    def test_simulated_topologies_store_int32_offsets_and_uint8_slots(
+        self, scale, name
+    ):
+        g = SIM_CONFIGS[scale]["topologies"][name]["build"]().graph
+        assert next_hop_dtypes(g.n, _max_degree(g)) == (np.int32, np.uint8)
+
+    def test_paper_tables_take_at_most_50_mb(self):
+        # The four topologies of the paper's Section VI simulations.
+        total = 0
+        for spec in SIM_CONFIGS["paper"]["topologies"].values():
+            tables = RoutingTables(spec["build"]().graph, use_cache=False)
+            indptr, slots = tables.next_hop_arrays()
+            assert (indptr.dtype, slots.dtype) == (np.int32, np.uint8)
+            total += indptr.nbytes + slots.nbytes
+        assert total <= 50_000_000  # 128.0 MB as router ids, 45.3 MB as slots
+
+    def test_router_id_table_under_the_old_key_is_never_read(
+        self, tmp_path, monkeypatch
+    ):
+        cache = diskcache.DiskCache(tmp_path, enabled=True)
+        monkeypatch.setattr(diskcache, "_default", cache)
+        g = FAMILY_GRAPHS["lps"]()
+        fresh = RoutingTables(g, use_cache=False).next_hop_arrays()
+        # What the router-id format stored under its key.
+        old = reference_next_hop_table(RoutingTables(g, use_cache=False))
+        cache.put(("next-hop-table", g.content_hash()), old)
+        for _ in range(2):  # cold, then from the store
+            tables = RoutingTables(g, use_cache=True)
+            for got, want in zip(tables.next_hop_arrays(), fresh):
+                assert got.dtype == want.dtype
+                assert got.tobytes() == want.tobytes()
+        stored = cache.get(("next-hop-table", g.content_hash()))
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(stored, old))
 
 
 class TestDenseDistances:

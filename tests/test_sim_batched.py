@@ -323,15 +323,14 @@ class TestClosedLoopScenarios:
 
         topo, tables = parts
         n = topo.graph.n
-        indptr, indices = tables.next_hop_arrays()
 
         def single_path(d):
             u = 0
             while u != d:
-                k = u * n + d
-                if indptr[k + 1] - indptr[k] != 1:
+                hops = tables.table_next_hops(u, d)
+                if len(hops) != 1:
                     return False
-                u = int(indices[indptr[k]])
+                u = int(hops[0])
             return True
 
         dst = next(d for d in range(n)
@@ -524,8 +523,8 @@ class TestStoredTables:
         if faulted:  # the stale-metric fallback ran too
             assert stats.nonminimal_hops > 0
         assert not LIST_VIEWS & vars(tables).keys()
-        indptr, indices = tables.next_hop_arrays()
-        assert net._nh_indptr is indptr and net._nh_indices is indices
+        indptr, slots = tables.next_hop_arrays()
+        assert net._nh_indptr is indptr and net._nh_slots is slots
 
     def test_event_engine_binds_list_views_at_construction(self):
         topo = build_lps(3, 5)
