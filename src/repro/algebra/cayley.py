@@ -1,11 +1,14 @@
 """Generic Cayley-graph construction by orbit closure.
 
-Given canonical-form generators and a vectorised multiply/canonicalise/encode
-triple, the builder BFS-closes the subgroup generated by the generators
-starting from the identity, then emits the edge list ``{v, v s}``.  This is
-the "efficient algorithm by which topologies on tens of millions of vertices
-may be easily generated" that the paper attributes to Elzinga [28]; here it
-is vectorised over whole BFS frontiers.
+Given the identity's key and a vectorised right multiplication on element
+keys, the closure BFS-closes the subgroup generated by the generators,
+starting from the identity, and returns the right-multiplication
+permutation of every generator, ``v -> v s``: the Cayley graph's edges.
+This is the "efficient algorithm by which topologies on tens of millions of
+vertices may be easily generated" that the paper attributes to Elzinga
+[28]; here it is vectorised over whole BFS frontiers, and each
+(vertex, generator) product is computed once and resolved to its vertex id
+through a direct-address table of keys.
 """
 
 from __future__ import annotations
@@ -15,91 +18,74 @@ from typing import Callable
 import numpy as np
 
 from repro.errors import ConstructionError
+from repro.graphs.csr import sorted_unique
 
 
 def cayley_graph_closure(
-    identity: np.ndarray,
-    generators: np.ndarray,
-    multiply: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    canonicalize: Callable[[np.ndarray], np.ndarray],
-    encode: Callable[[np.ndarray], np.ndarray],
+    identity_key: int,
+    right_multiply: Callable[[np.ndarray], np.ndarray],
+    n_keys: int,
     max_vertices: int = 50_000_000,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Close the subgroup generated by ``generators`` and build Cayley edges.
+) -> tuple[np.ndarray, np.ndarray]:
+    """BFS-close a group from its identity; return its Cayley edges.
+
+    Group elements are named by integer keys: distinct per element, and
+    dense in ``[0, n_keys)``, since a table of ``n_keys`` int32 maps each
+    key to its vertex id (keep ``n_keys`` within a small multiple of the
+    group order).
 
     Parameters
     ----------
-    identity:
-        Canonical representative of the group identity, shape ``(d,)``.
-    generators:
-        Canonical generator representatives, shape ``(s, d)``.  The set must
-        be symmetric (closed under inverse) for the graph to be undirected;
-        the caller is responsible for that (LPS generator sets are).
-    multiply:
-        ``multiply(elements (n, d), generator (d,)) -> (n, d)`` — right
-        multiplication of a batch by one generator.
-    canonicalize / encode:
-        Map arbitrary representatives to canonical form / int64 keys.
+    identity_key:
+        Key of the group identity.
+    right_multiply:
+        ``right_multiply(keys (m,)) -> (s, m)``: row ``j`` holds the keys of
+        ``x s_j`` for the elements ``x`` named by ``keys``.  The generator
+        set must be symmetric (closed under inverse) for the graph to be
+        undirected; the caller is responsible for that (LPS generator sets
+        are).
+    n_keys:
+        Size of the key range.
 
     Returns
     -------
-    (elements, keys, edges):
-        ``elements``: canonical representatives, shape ``(n, d)``, index =
-        vertex id (BFS discovery order; identity is vertex 0).
-        ``keys``: int64 key per vertex.
-        ``edges``: int64 array of shape ``(n * s, 2)`` listing the directed
-        pairs ``(v, v s)`` for every vertex and generator (the caller
-        symmetrises/dedupes when building the simple graph).
+    (keys, perms):
+        ``keys``: int64 key of every vertex.  Numbering: the identity is
+        vertex 0 and each BFS level's new elements take the next ids in
+        ascending key order (topology pickles and cached LPS permutations
+        depend on exactly this).
+        ``perms``: int32 array of shape ``(s, n)`` with ``perms[j, v]`` the
+        vertex of ``v s_j``: the directed pairs ``(v, v s_j)`` for every
+        vertex and generator.
     """
-    identity = canonicalize(np.asarray(identity)[None, :])[0]
-    gens = canonicalize(np.asarray(generators))
-    n_gens = len(gens)
-    if n_gens == 0:
-        raise ConstructionError("generator set is empty")
-
-    # Keys seen so far, kept sorted: each level resolves its distinct
-    # products with one searchsorted instead of a per-vertex dict.
-    seen = encode(identity[None, :])
-    elements_chunks: list[np.ndarray] = [identity[None, :]]
-
-    frontier = identity[None, :]
-    while len(frontier) > 0:
-        # Multiply the whole frontier by every generator at once.
-        products = np.concatenate([multiply(frontier, g) for g in gens], axis=0)
-        canon = canonicalize(products)
-        uniq_keys, first_pos = np.unique(encode(canon), return_index=True)
-        pos = np.searchsorted(seen, uniq_keys)
-        new = seen[np.minimum(pos, len(seen) - 1)] != uniq_keys
-        if not new.any():
-            break
-        seen = np.insert(seen, pos[new], uniq_keys[new])
-        if len(seen) > max_vertices:
+    if not 0 <= identity_key < n_keys:
+        raise ConstructionError(f"identity key outside [0, {n_keys})")
+    # key -> vertex id, -1 while unseen.
+    vertex_of = np.full(n_keys, -1, dtype=np.int32)
+    frontier = np.array([identity_key], dtype=np.int64)
+    vertex_of[frontier] = 0
+    level_keys = [frontier]
+    perm_blocks: list[np.ndarray] = []
+    n = 1
+    while len(frontier):
+        # Every product of the level, formed once, here.
+        prods = np.asarray(right_multiply(frontier), dtype=np.int64)
+        if len(prods) == 0:
+            raise ConstructionError("generator set is empty")
+        if int(prods.min()) < 0 or int(prods.max()) >= n_keys:
+            raise ConstructionError(f"product key outside [0, {n_keys})")
+        ids = vertex_of[prods]
+        unseen = ids < 0
+        new_keys = sorted_unique(prods[unseen])
+        if n + len(new_keys) > max_vertices:
             raise ConstructionError(
                 f"group closure exceeded max_vertices={max_vertices}"
             )
         # New vertices take ids in ascending key order within the level.
-        frontier = canon[first_pos[new]]
-        elements_chunks.append(frontier)
-
-    elements = np.concatenate(elements_chunks, axis=0)
-    n_vertices = len(elements)
-    all_keys = encode(elements)
-
-    # Vectorised neighbour resolution: sort keys once, then searchsorted.
-    order = np.argsort(all_keys)
-    sorted_keys = all_keys[order]
-    sources = np.arange(n_vertices, dtype=np.int64)
-    edge_list = np.empty((n_vertices * n_gens, 2), dtype=np.int64)
-    for gi, g in enumerate(gens):
-        prod = canonicalize(multiply(elements, g))
-        pk = encode(prod)
-        pos = np.searchsorted(sorted_keys, pk)
-        if np.any(pos >= n_vertices) or np.any(sorted_keys[pos] != pk):
-            raise ConstructionError(
-                "generator product left the closed vertex set; "
-                "generators not closed under the group operation?"
-            )
-        targets = order[pos]
-        edge_list[gi * n_vertices : (gi + 1) * n_vertices, 0] = sources
-        edge_list[gi * n_vertices : (gi + 1) * n_vertices, 1] = targets
-    return elements, all_keys, edge_list
+        vertex_of[new_keys] = np.arange(n, n + len(new_keys), dtype=np.int32)
+        ids[unseen] = vertex_of[prods[unseen]]
+        perm_blocks.append(ids)
+        level_keys.append(new_keys)
+        n += len(new_keys)
+        frontier = new_keys
+    return np.concatenate(level_keys), np.concatenate(perm_blocks, axis=1)

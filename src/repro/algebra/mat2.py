@@ -73,21 +73,47 @@ def mat_canonicalize(mats: np.ndarray, q: int) -> np.ndarray:
 
 
 def mat_encode(mats: np.ndarray, q: int) -> np.ndarray:
-    """Pack canonical matrices into unique int64 keys (base-q digits)."""
+    """Perfect int64 key of the canonical invertible matrices.
+
+    A canonical form's first non-zero entry is 1, so ``a`` is 0 or 1, and
+    ``a = 0`` forces ``b = 1`` (the matrix is invertible): those forms take
+    ``c*q + d`` in ``[0, q^2)`` and the ``a = 1`` forms
+    ``q^2 + (b*q + c)*q + d``.  The keys are dense in ``[0, q^3 + q^2)``,
+    which lets the Cayley closure resolve them through a flat table, and
+    compare like the forms' base-q digits ``((a*q + b)*q + c)*q + d``, so
+    sorting by key sorts by entries.
+    """
     mats = np.atleast_2d(mats)
-    return ((mats[..., 0] * q + mats[..., 1]) * q + mats[..., 2]) * q + mats[..., 3]
+    a, b, c, d = (mats[..., i] for i in range(4))
+    return a * (b + 1) * (q * q) + c * q + d
+
+
+def mat_product_keys(mats: np.ndarray, g: np.ndarray, q: int) -> np.ndarray:
+    """Keys of the canonical forms of ``mats @ g``, all invertible.
+
+    Equals ``mat_encode(mat_canonicalize(mat_multiply(mats, g, q), q), q)``
+    in one pass per entry: a product of invertible matrices is
+    invertible, so its first non-zero entry is ``a``, or else ``b``.
+    """
+    if q not in _INV_CACHE:
+        _INV_CACHE[q] = _inverse_table(q)
+    g0, g1, g2, g3 = (int(x) for x in g)
+    a1, b1, c1, d1 = (mats[:, i] for i in range(4))
+    a = (a1 * g0 + b1 * g2) % q
+    b = (a1 * g1 + b1 * g3) % q
+    scale = _INV_CACHE[q][np.where(a != 0, a, b)]
+    c = (c1 * g0 + d1 * g2) * scale % q
+    d = (c1 * g1 + d1 * g3) * scale % q
+    return np.where(a != 0, (b * scale % q + 1) * (q * q), 0) + c * q + d
 
 
 def mat_decode(keys: np.ndarray, q: int) -> np.ndarray:
-    """Inverse of :func:`mat_encode`."""
+    """Inverse of :func:`mat_encode`: the canonical form of each key."""
     keys = np.asarray(keys, dtype=np.int64)
-    d = keys % q
-    rest = keys // q
-    c = rest % q
-    rest //= q
-    b = rest % q
-    a = rest // q
-    return np.stack([a, b, c, d], axis=-1)
+    hi = keys // (q * q)  # 0 when a = 0, else b + 1
+    a = (hi > 0).astype(np.int64)
+    b = np.where(hi > 0, hi - 1, 1)
+    return np.stack([a, b, keys // q % q, keys % q], axis=-1)
 
 
 def pgl2_order(q: int) -> int:

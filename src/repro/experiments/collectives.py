@@ -17,17 +17,16 @@ the whole sweep on the vectorized engine.
 
 from __future__ import annotations
 
-from repro.experiments.common import ExperimentResult, cached, cached_tables
+from repro.experiments.common import (
+    ExperimentResult,
+    cached_sim_topo,
+    cached_tables,
+)
 from repro.routing import make_routing
 from repro.sim import SimConfig
 from repro.topology import SIM_CONFIGS
 from repro.workloads import CollectiveMotif, run_collective
 from repro.workloads.collectives import ALGORITHMS, COLLECTIVES
-
-
-def _cached_topo(scale: str, family: str):
-    spec = SIM_CONFIGS[scale]["topologies"][family]
-    return cached(("sim-topo", scale, family), spec["build"]), spec
 
 
 def run(
@@ -56,7 +55,7 @@ def run(
                 motif = CollectiveMotif(coll, algo, p, total_bytes=total_bytes)
                 results = {}
                 for family in cfg["topologies"]:
-                    topo, spec = _cached_topo(scale, family)
+                    topo, spec = cached_sim_topo(scale, family)
                     tables = cached_tables(topo)
                     policy = make_routing(routing, tables, seed=seed)
                     results[family] = run_collective(

@@ -20,7 +20,7 @@ from repro.sim import (
 )
 from repro.sim.traffic import OpenLoopSource
 from repro.spectral import mu1
-from repro.topology import Topology, build_size_class
+from repro.topology import SIM_CONFIGS, Topology, build_size_class
 from repro.utils.rng import default_rngs
 from repro.utils.tables import render_table
 
@@ -74,6 +74,13 @@ def cached_size_class(class_id: int) -> dict[str, Topology]:
     return cached(
         ("size-class", class_id), lambda: build_size_class(class_id), disk=True
     )
+
+
+def cached_sim_topo(scale: str, family: str) -> tuple[Topology, dict]:
+    """``SIM_CONFIGS[scale]``'s ``family`` topology, built once per process,
+    and its spec (``build``, ``concentration``)."""
+    spec = SIM_CONFIGS[scale]["topologies"][family]
+    return cached(("sim-topo", scale, family), spec["build"]), spec
 
 
 def cached_tables(topo: Topology, oracle: str | None = None) -> RoutingTables:

@@ -8,7 +8,12 @@ The paper's headline: SpectralFly wins everywhere.
 
 from __future__ import annotations
 
-from repro.experiments.common import ExperimentResult, run_synthetic_sim, speedup
+from repro.experiments.common import (
+    ExperimentResult,
+    cached_sim_topo,
+    run_synthetic_sim,
+    speedup,
+)
 from repro.topology import SIM_CONFIGS
 
 PATTERNS = ("random", "shuffle", "reverse", "transpose")
@@ -36,8 +41,8 @@ def run(
     for pattern in patterns:
         for load in loads:
             results = {}
-            for name, spec in cfg["topologies"].items():
-                topo = spec["build"]()
+            for name in cfg["topologies"]:
+                topo, spec = cached_sim_topo(scale, name)
                 results[name] = run_synthetic_sim(
                     topo,
                     routing,

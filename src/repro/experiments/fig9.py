@@ -9,9 +9,12 @@ alignment), SpectralFly ahead again on unbalanced FFT.
 
 from __future__ import annotations
 
-from repro.experiments.common import ExperimentResult
+from repro.experiments.common import (
+    ExperimentResult,
+    cached_sim_topo,
+    cached_tables,
+)
 from repro.routing import make_routing
-from repro.experiments.common import cached_tables
 from repro.sim import SimConfig
 from repro.topology import SIM_CONFIGS
 from repro.workloads import FFTMotif, Halo3D26Motif, Sweep3DMotif, run_motif
@@ -54,8 +57,8 @@ def run(
         # Generated once: the engines read the messages and never mutate them.
         messages = motif.generate()
         results = {}
-        for name, spec in cfg["topologies"].items():
-            topo = spec["build"]()
+        for name in cfg["topologies"]:
+            topo, spec = cached_sim_topo(scale, name)
             tables = cached_tables(topo)
             policy = make_routing(routing, tables, seed=seed)
             sim_cfg = SimConfig(concentration=spec["concentration"])

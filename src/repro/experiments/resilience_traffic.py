@@ -23,16 +23,11 @@ from typing import Any
 from repro.experiments.common import (
     ExperimentResult,
     build_synthetic_sim,
-    cached,
+    cached_sim_topo,
 )
 from repro.sim import SimConfig
 from repro.sim.faults import FaultSchedule
 from repro.topology import SIM_CONFIGS
-
-
-def _cached_topo(scale: str, family: str):
-    spec = SIM_CONFIGS[scale]["topologies"][family]
-    return cached(("sim-topo", scale, family), spec["build"]), spec
 
 
 def _round0(x: float) -> float:
@@ -74,7 +69,7 @@ def run(
     n_ranks = cfg["n_ranks"]
     rows: list[dict[str, Any]] = []
     for family in families:
-        topo, spec = _cached_topo(scale, family)
+        topo, spec = cached_sim_topo(scale, family)
         for routing_name in routings:
             base_max_latency: float | None = None
             for frac in fail_fractions:

@@ -289,11 +289,14 @@ class WordTranslator:
 
     Inverses come from walking reversed words with paired inverse
     generators — everything stays in the right-multiplication tables the
-    closure already produced.  Memory: ``n * diameter`` int8 words, the
-    int32 ``(n_generators, n)`` permutations, and the int32 depth and
-    int64 inverse of every vertex (at LPS(5,61): 1.0 MB of words, 2.7 MB
-    of permutations, 1.4 MB for depths and inverses).  A walk over ``m``
-    pairs allocates ``O(m * diameter)`` and no copy of the permutations.
+    closure already produced.  The words come from one BFS of the group
+    over those tables, whose ``depth`` is the graph's BFS from vertex 0:
+    :class:`CayleyOracle` takes it as its identity ball.  Memory:
+    ``n * diameter`` int8 words, the int32 ``(n_generators, n)``
+    permutations, and the int32 depth and int64 inverse of every vertex
+    (at LPS(5,61): 1.0 MB of words, 2.7 MB of permutations, 1.4 MB for
+    depths and inverses).  A walk over ``m`` pairs allocates
+    ``O(m * diameter)`` and no copy of the permutations.
     """
 
     def __init__(self, perms: np.ndarray) -> None:
@@ -307,33 +310,36 @@ class WordTranslator:
         self._build_inverses()
 
     def _build_words(self) -> None:
-        """BFS the group from the identity; record parent generators."""
+        """BFS the group from the identity; record parent generators.
+
+        A vertex's parent is its first discovery in (generator, frontier
+        position) order, and each level's frontier lists its vertices by
+        that generator, then by id: one gather of every generator's image
+        of the frontier and one first-occurrence pass per level.
+        """
         n = self.n
         depth = np.full(n, -1, dtype=np.int32)
         parent = np.full(n, -1, dtype=np.int64)
         pgen = np.full(n, -1, dtype=np.int8)
+        first = np.full(n, np.iinfo(np.int64).max, dtype=np.int64)
         depth[0] = 0
         frontier = np.zeros(1, dtype=np.int64)
         d = 0
         while frontier.size:
-            nxt = []
-            for j in range(self.n_gens):
-                w = self.perms[j][frontier]
-                m = depth[w] < 0
-                cand = w[m]
-                csrc = frontier[m]
-                if cand.size:
-                    uq, first = np.unique(cand, return_index=True)
-                    still = depth[uq] < 0
-                    uq, first = uq[still], first[still]
-                    depth[uq] = d + 1
-                    parent[uq] = csrc[first]
-                    pgen[uq] = j
-                    nxt.append(uq)
-            frontier = (
-                np.concatenate(nxt) if nxt else np.empty(0, dtype=np.int64)
-            )
+            # Row j holds s_j's images, so flat positions run in
+            # (generator, frontier position) order.
+            w = self.perms[:, frontier].ravel()
+            fresh = np.flatnonzero(depth[w] < 0)
+            new = w[fresh]
+            np.minimum.at(first, new, fresh)
+            keep = first[new] == fresh  # each new vertex's first position
+            fresh, new = fresh[keep], new[keep]
+            gen, pos = np.divmod(fresh, frontier.size)
             d += 1
+            depth[new] = d
+            parent[new] = frontier[pos]
+            pgen[new] = gen
+            frontier = np.sort(gen * n + new) % n  # by generator, then id
         if int(depth.min()) < 0:
             raise ValueError("router graph is disconnected")
         self.depth = depth
@@ -473,7 +479,8 @@ class MMSTranslator:
 class CayleyOracle(RoutingOracle):
     """Distances/next hops via vertex-transitivity: translate, then look up.
 
-    One BFS ball per canonical form (``O(forms * n)`` int32), plus the
+    One BFS ball per canonical form (``O(forms * n)`` int32; a
+    :class:`WordTranslator`'s ``depth`` is its one ball), plus the
     translator's own ``O(n * diameter)`` structure for word-walk families.
     Every query ``d(u, d)`` becomes ``ball[form(u)][translate(u, d)]``.
 
@@ -499,10 +506,16 @@ class CayleyOracle(RoutingOracle):
     ) -> None:
         super().__init__(graph, row_cache=row_cache)
         self.translator = translator
-        srcs = np.asarray(translator.canonical_sources, dtype=np.int64)
-        balls = np.stack([bfs_distances(graph, int(s)) for s in srcs])
-        if int(balls.max()) >= UNREACHED:
-            raise ValueError("router graph is disconnected")
+        if isinstance(translator, WordTranslator):
+            # Its BFS of the group from the identity is the graph's BFS
+            # from vertex 0: the graph's edges are the generator
+            # permutations (on a regular graph _slot_generators checks).
+            balls = translator.depth[None, :]
+        else:
+            srcs = np.asarray(translator.canonical_sources, dtype=np.int64)
+            balls = np.stack([bfs_distances(graph, int(s)) for s in srcs])
+            if int(balls.max()) >= UNREACHED:
+                raise ValueError("router graph is disconnected")
         self._balls = balls.astype(np.int32)
         # Vertex-transitive: every vertex is automorphic to one of the
         # canonical sources, so the max over the form balls is the true
@@ -518,12 +531,17 @@ class CayleyOracle(RoutingOracle):
             self._self_check()
 
     def _slot_generators(self, perms: np.ndarray) -> np.ndarray:
-        """``slot_gen[u, t] = j`` where CSR slot ``t`` of ``u`` is ``u*s_j``."""
+        """``slot_gen[u, t] = j`` where CSR slot ``t`` of ``u`` is ``u*s_j``.
+
+        A simple Cayley graph's CSR row is its vertex's generator images
+        sorted, so the map is their argsort.
+        """
+        images = perms.T
+        slot_gen = np.argsort(images, axis=1, kind="stable").astype(np.int8)
         rows = self.graph.indices.reshape(self.n, self._radix)
-        slot_gen = np.full(rows.shape, -1, dtype=np.int8)
-        for j in range(len(perms)):
-            slot_gen[rows == perms[j][:, None]] = j
-        if int(slot_gen.min()) < 0:
+        if images.shape != rows.shape or not np.array_equal(
+            np.take_along_axis(images, slot_gen, axis=1), rows
+        ):
             raise ValueError(
                 "translator permutations do not match the graph's "
                 "neighbour rows"

@@ -1224,10 +1224,10 @@ class BatchedSimulator:
         """Prepare the epoch machinery for the attached schedule.
 
         Builds the live :class:`FaultMask` (the same failure-count overlay
-        the event engine mutates, so recovery composes exactly), the
-        per-entry directed-edge ids of the flat next-hop table (its slots
-        offset by their router's row start; one gather per epoch rewrite),
-        and the boundary cycle of every schedule event
+        the event engine mutates, so recovery composes exactly), the int32
+        directed-edge id of every entry of the flat next-hop table (its
+        slot offset by its router's row start; one gather per epoch
+        rewrite), and the boundary cycle of every schedule event
         (``ceil(t / tau)`` — events at a cycle's opening edge apply before
         any packet of that cycle, the batch analogue of fault events
         sorting below traffic events at equal timestamps).
@@ -1240,12 +1240,13 @@ class BatchedSimulator:
         self._alive_router = np.ones(g.n, dtype=bool)
         # Same non-minimal walk budget as NetworkSimulator.
         self._ttl = 4 * self.tables.diameter + 16
-        indptr = self._nh_indptr
-        self._entry_cell = np.repeat(
-            np.arange(len(indptr) - 1, dtype=np.int64), np.diff(indptr)
-        )
-        entry_u = self._entry_cell // self.n_routers
-        self._entry_eid = self._row_start[entry_u] + self._nh_slots
+        # Router u's entries are the span of its cells u*n .. u*n + n - 1.
+        # Edge ids fit int32: a graph with a stored n^2-cell table has far
+        # fewer than 2^31 directed edges.
+        spans = np.diff(self._nh_indptr[:: self.n_routers])
+        eid = np.repeat(self._row_start[:-1].astype(np.int32), spans)
+        eid += self._nh_slots
+        self._entry_eid = eid
         self._rebuild_masked()
         tau = self._tau
         self._ev_cycles = np.array(
@@ -1258,19 +1259,15 @@ class BatchedSimulator:
 
         A pure function of the mask's failure counts: restoring every
         fault reproduces the pristine arrays bit-for-bit, dtypes included,
-        which is what keeps recovery exact.  One boolean gather + bincount
-        + cumsum over the flat table per epoch boundary.
+        which is what keeps recovery exact.  One boolean gather over the
+        flat table per epoch boundary; a cell's masked offset is the count
+        of live entries before its stored offset.
         """
-        dead = np.asarray(self._mask._dead_edge, dtype=np.int64)
-        alive_e = dead[self._entry_eid] == 0
-        ncells = len(self._nh_indptr) - 1
-        counts = np.bincount(
-            self._entry_cell[alive_e], minlength=ncells
-        )
-        indptr = np.empty(ncells + 1, dtype=self._nh_indptr.dtype)
-        indptr[0] = 0
-        np.cumsum(counts, out=indptr[1:])
-        self._m_indptr = indptr
+        live = np.asarray(self._mask._dead_edge) == 0
+        alive_e = live[self._entry_eid]
+        before = np.zeros(len(alive_e) + 1, dtype=self._nh_indptr.dtype)
+        np.cumsum(alive_e, dtype=before.dtype, out=before[1:])
+        self._m_indptr = before[self._nh_indptr]
         self._m_slots = self._nh_slots[alive_e]
 
     def _pick_next_live(

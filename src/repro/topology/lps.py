@@ -16,7 +16,8 @@ Implements Definition 3 of the paper.  For distinct odd primes ``p, q`` with
    (bipartite graph on q^3 - q vertices).
 
 The result is a (p + 1)-regular Ramanujan graph; construction-time checks
-assert the vertex count, regularity and connectivity.
+assert the vertex count, simplicity and regularity (the closure from the
+identity is connected by construction).
 
 Paper: Section III, Definition 3 (the SpectralFly topology itself);
 design-space and feasibility sweeps appear in Section IV / Fig. 4.
@@ -34,10 +35,11 @@ import numpy as np
 from repro.algebra.cayley import cayley_graph_closure
 from repro.algebra.mat2 import (
     mat_canonicalize,
+    mat_decode,
     mat_determinant,
     mat_encode,
     mat_identity,
-    mat_multiply,
+    mat_product_keys,
     pgl2_order,
     psl2_order,
 )
@@ -93,16 +95,40 @@ def lps_generator_matrices(p: int, q: int) -> np.ndarray:
     return mat_canonicalize(gens, q)
 
 
+def _lps_generator_permutations(p: int, q: int) -> np.ndarray:
+    """Close LPS(p, q)'s group; return its ``(p+1, n)`` int32 permutations."""
+    gens = lps_generator_matrices(p, q)
+
+    def right_multiply(keys: np.ndarray) -> np.ndarray:
+        mats = mat_decode(keys, q)
+        return np.stack([mat_product_keys(mats, g, q) for g in gens])
+
+    _, perms = cayley_graph_closure(
+        int(mat_encode(mat_identity(q), q)[0]),
+        right_multiply,
+        n_keys=q**3 + q**2,  # mat_encode's key range
+    )
+    return perms
+
+
 def build_lps(p: int, q: int, validate: bool = True) -> Topology:
     """Construct the SpectralFly topology LPS(p, q).
+
+    The group closure yields each generator's right-multiplication
+    permutation ``perms[j][v] = v s_j`` (kept as ``gen_perms`` for the
+    routing oracles), and the CSR rows are each router's ``p + 1``
+    generator images, sorted: the graph is ``(p+1)``-regular and simple
+    whenever the generators are distinct non-identity elements of the group
+    closed under inverse, which is checked on every build.  No edge list is
+    formed.
 
     Parameters
     ----------
     p, q:
         Distinct odd primes with ``q > 2 sqrt(p)``.  The radix is ``p + 1``.
     validate:
-        Run construction-time consistency checks (vertex count, regularity,
-        connectivity).  Costs one pass over the edge list.
+        Also check the vertex count against the closed form.  (The closure
+        is connected by construction, from the identity.)
 
     Returns
     -------
@@ -114,31 +140,32 @@ def build_lps(p: int, q: int, validate: bool = True) -> Topology:
         raise ParameterError(
             f"LPS({p},{q}) infeasible: p, q must be distinct odd primes"
         )
-    gens = lps_generator_matrices(p, q)
-
-    def multiply(batch: np.ndarray, g: np.ndarray) -> np.ndarray:
-        return mat_multiply(batch, g[None, :], q)
-
-    def canonicalize(batch: np.ndarray) -> np.ndarray:
-        return mat_canonicalize(batch, q)
-
-    def encode(batch: np.ndarray) -> np.ndarray:
-        return mat_encode(batch, q)
-
-    _, _, edges = cayley_graph_closure(
-        mat_identity(q), gens, multiply, canonicalize, encode
+    gen_perms = _lps_generator_permutations(p, q)
+    k, n = gen_perms.shape
+    if validate and n != lps_num_vertices(p, q):
+        raise ConstructionError(
+            f"LPS({p},{q}): built {n} vertices, expected "
+            f"{lps_num_vertices(p, q)}"
+        )
+    # v s_i == v s_j iff s_i == s_j, so the vertices of the generators
+    # themselves (column 0) decide simplicity and symmetry for every row.
+    gen_vertices = gen_perms[:, 0]
+    degree = len(np.unique(gen_vertices[gen_vertices != 0]))
+    if degree != k:
+        raise ConstructionError(
+            f"LPS({p},{q}): degree range [{degree}, {degree}], expected {k} "
+            "(parallel generator edges indicate q too small)"
+        )
+    if not np.all((gen_perms[:, gen_vertices] == 0).any(axis=0)):
+        raise ConstructionError(
+            f"LPS({p},{q}): generator set not closed under inverse"
+        )
+    rows = np.ascontiguousarray(gen_perms.T)
+    rows.sort(axis=1)
+    graph = CSRGraph(
+        n, np.arange(0, n * k + 1, k, dtype=np.int64), rows.reshape(-1)
     )
-    n_expected = lps_num_vertices(p, q)
-    n = int(edges.max()) + 1
-    graph = CSRGraph.from_edges(n, edges)
-    # The closure's per-generator edge segments are exactly the right-
-    # multiplication permutations perms[j][v] = v*s_j (sources of segment j
-    # are arange(n)); keep them so the routing oracles can translate
-    # queries without re-closing the group.
-    gen_perms = np.ascontiguousarray(
-        edges[:, 1].reshape(len(gens), n).astype(np.int32)
-    )
-    topo = Topology(
+    return Topology(
         name=f"LPS({p},{q})",
         family="LPS",
         graph=graph,
@@ -146,19 +173,6 @@ def build_lps(p: int, q: int, validate: bool = True) -> Topology:
         vertex_transitive=True,
         gen_perms=gen_perms,
     )
-    if validate:
-        if graph.n != n_expected:
-            raise ConstructionError(
-                f"LPS({p},{q}): built {graph.n} vertices, expected {n_expected}"
-            )
-        degs = graph.degrees()
-        if not np.all(degs == p + 1):
-            raise ConstructionError(
-                f"LPS({p},{q}): degree range "
-                f"[{degs.min()}, {degs.max()}], expected {p + 1} "
-                "(parallel generator edges indicate q too small)"
-            )
-    return topo
 
 
 def lps_generator_permutations(p: int, q: int) -> np.ndarray:
@@ -171,25 +185,9 @@ def lps_generator_permutations(p: int, q: int) -> np.ndarray:
     """
     from repro.utils.diskcache import get_default_cache
 
-    def _build() -> np.ndarray:
-        gens = lps_generator_matrices(p, q)
-
-        def multiply(batch: np.ndarray, g: np.ndarray) -> np.ndarray:
-            return mat_multiply(batch, g[None, :], q)
-
-        _, _, edges = cayley_graph_closure(
-            mat_identity(q),
-            gens,
-            multiply,
-            lambda batch: mat_canonicalize(batch, q),
-            lambda batch: mat_encode(batch, q),
-        )
-        n = int(edges.max()) + 1
-        return np.ascontiguousarray(
-            edges[:, 1].reshape(len(gens), n).astype(np.int32)
-        )
-
-    return get_default_cache().memoize(("lps-gen-perms", p, q), _build)
+    return get_default_cache().memoize(
+        ("lps-gen-perms", p, q), lambda: _lps_generator_permutations(p, q)
+    )
 
 
 def lps_design_space(max_p: int = 300, max_q: int = 300) -> list[dict]:

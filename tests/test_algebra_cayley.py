@@ -20,65 +20,91 @@ def _zn_setup(n: int, gens: list[int]):
     def encode(batch):
         return np.atleast_2d(batch)[:, 0]
 
+    def decode(keys):
+        return np.asarray(keys)[:, None]
+
     identity = np.array([0])
     generators = np.array([[g] for g in gens])
-    return identity, generators, multiply, canonicalize, encode
+    return identity, generators, multiply, canonicalize, encode, decode, n
+
+
+def _keyed(identity, generators, multiply, canonicalize, encode, decode, n_keys):
+    """The closure's arguments from an element-level setup."""
+    gens = canonicalize(np.asarray(generators).reshape(-1, len(identity)))
+
+    def right_multiply(keys):
+        x = decode(keys)
+        rows = [encode(canonicalize(multiply(x, g))) for g in gens]
+        return np.stack(rows) if rows else np.empty((0, len(keys)), np.int64)
+
+    key0 = int(encode(canonicalize(np.asarray(identity)[None, :]))[0])
+    return key0, right_multiply, n_keys
+
+
+def _closure(setup):
+    return cayley_graph_closure(*_keyed(*setup))
+
+
+def _edges(perms):
+    """The directed pairs (v, v s_j), generator-major."""
+    s, n = perms.shape
+    return np.stack([np.tile(np.arange(n), s), perms.ravel()], axis=1)
 
 
 class TestCyclicGroups:
     def test_full_cycle(self):
-        ident, gens, mul, canon, enc = _zn_setup(12, [1, 11])
-        elements, keys, edges = cayley_graph_closure(ident, gens, mul, canon, enc)
-        assert len(elements) == 12
-        g = CSRGraph.from_edges(12, edges)
+        keys, perms = _closure(_zn_setup(12, [1, 11]))
+        assert len(keys) == 12
+        g = CSRGraph.from_edges(12, _edges(perms))
         assert g.degree() == 2  # the 12-cycle
 
     def test_proper_subgroup(self):
         # <2> inside Z_12 has order 6.
-        ident, gens, mul, canon, enc = _zn_setup(12, [2, 10])
-        elements, _, edges = cayley_graph_closure(ident, gens, mul, canon, enc)
-        assert len(elements) == 6
+        keys, _ = _closure(_zn_setup(12, [2, 10]))
+        assert len(keys) == 6
 
     def test_identity_is_vertex_zero(self):
-        ident, gens, mul, canon, enc = _zn_setup(10, [3, 7])
-        elements, _, _ = cayley_graph_closure(ident, gens, mul, canon, enc)
-        assert elements[0, 0] == 0
+        keys, _ = _closure(_zn_setup(10, [3, 7]))
+        assert keys[0] == 0
 
     def test_edge_count(self):
-        ident, gens, mul, canon, enc = _zn_setup(9, [1, 8, 3, 6])
-        _, _, edges = cayley_graph_closure(ident, gens, mul, canon, enc)
+        _, perms = _closure(_zn_setup(9, [1, 8, 3, 6]))
         # One directed edge per (vertex, generator).
-        assert len(edges) == 9 * 4
+        assert perms.shape == (4, 9) and perms.dtype == np.int32
 
     def test_empty_generators_rejected(self):
-        ident, gens, mul, canon, enc = _zn_setup(5, [])
         with pytest.raises(ConstructionError):
-            cayley_graph_closure(ident, np.empty((0, 1)), mul, canon, enc)
+            _closure(_zn_setup(5, []))
 
     def test_max_vertices_guard(self):
-        ident, gens, mul, canon, enc = _zn_setup(1000, [1, 999])
+        key0, right_multiply, n_keys = _keyed(*_zn_setup(1000, [1, 999]))
         with pytest.raises(ConstructionError):
-            cayley_graph_closure(
-                ident, gens, mul, canon, enc, max_vertices=10
-            )
+            cayley_graph_closure(key0, right_multiply, n_keys, max_vertices=10)
+
+    def test_keys_outside_the_range_rejected(self):
+        # Keys index a flat table: one past the end must not be written.
+        key0, right_multiply, _ = _keyed(*_zn_setup(12, [1, 11]))
+        with pytest.raises(ConstructionError):
+            cayley_graph_closure(key0, right_multiply, 11)
+        with pytest.raises(ConstructionError):
+            cayley_graph_closure(12, right_multiply, 12)
 
     def test_circulant_structure(self):
         # Z_8 with generators {1,7,2,6} = circulant C8(1,2).
-        ident, gens, mul, canon, enc = _zn_setup(8, [1, 7, 2, 6])
-        elements, _, edges = cayley_graph_closure(ident, gens, mul, canon, enc)
-        g = CSRGraph.from_edges(8, edges)
+        keys, perms = _closure(_zn_setup(8, [1, 7, 2, 6]))
+        g = CSRGraph.from_edges(8, _edges(perms))
         assert g.degree() == 4
-        # Vertex labels equal the group elements in BFS order; re-map to
-        # group element values and check adjacency differences.
-        label = elements[:, 0]
+        # Vertex labels equal the group elements (their keys) in BFS
+        # order; check adjacency differences.
         for u, v in g.edge_array():
-            diff = int((label[u] - label[v]) % 8)
+            diff = int((keys[u] - keys[v]) % 8)
             assert diff in (1, 2, 6, 7)
 
 
 def _lps_setup(p: int, q: int):
     from repro.algebra.mat2 import (
         mat_canonicalize,
+        mat_decode,
         mat_encode,
         mat_identity,
         mat_multiply,
@@ -91,6 +117,8 @@ def _lps_setup(p: int, q: int):
         lambda batch, g: mat_multiply(batch, g[None, :], q),
         lambda batch: mat_canonicalize(batch, q),
         lambda batch: mat_encode(batch, q),
+        lambda keys: mat_decode(keys, q),
+        q**3 + q**2,
     )
 
 
@@ -129,8 +157,10 @@ def _reference_closure(identity, generators, multiply, canonicalize, encode):
 @pytest.mark.parametrize(
     "setup",
     [
-        pytest.param(lambda: _lps_setup(3, 5), id="LPS(3,5)"),
-        pytest.param(lambda: _lps_setup(5, 13), id="LPS(5,13)"),
+        pytest.param((3, 5), id="LPS(3,5)"),  # PGL
+        pytest.param((5, 13), id="LPS(5,13)"),  # PGL
+        pytest.param((11, 7), id="LPS(11,7)"),  # PSL
+        pytest.param((3, 11), id="LPS(3,11)"),  # PSL
         pytest.param(lambda: _zn_setup(12, [1, 11]), id="Z12<1>"),
         pytest.param(lambda: _zn_setup(12, [2, 10]), id="Z12<2>"),
         pytest.param(lambda: _zn_setup(10, [3, 7]), id="Z10<3>"),
@@ -139,9 +169,16 @@ def _reference_closure(identity, generators, multiply, canonicalize, encode):
     ],
 )
 def test_vertex_numbering_matches_reference_bfs(setup):
-    args = setup()
-    elements, keys, edges = cayley_graph_closure(*args)
-    ref_elements, ref_edges = _reference_closure(*args)
-    np.testing.assert_array_equal(elements, ref_elements)
+    lps = isinstance(setup, tuple)
+    args = _lps_setup(*setup) if lps else setup()
+    keys, perms = _closure(args)
+    ref_elements, ref_edges = _reference_closure(*args[:5])
     np.testing.assert_array_equal(keys, args[4](ref_elements))
-    np.testing.assert_array_equal(edges, ref_edges)
+    np.testing.assert_array_equal(args[5](keys), ref_elements)
+    np.testing.assert_array_equal(_edges(perms), ref_edges)
+    if lps:
+        # build_lps's own closure (fused product keys) numbers the same.
+        from repro.topology.lps import _lps_generator_permutations, build_lps
+
+        np.testing.assert_array_equal(_lps_generator_permutations(*setup), perms)
+        np.testing.assert_array_equal(build_lps(*setup).gen_perms, perms)

@@ -10,6 +10,7 @@ from repro.algebra.mat2 import (
     mat_encode,
     mat_identity,
     mat_multiply,
+    mat_product_keys,
     pgl2_elements,
     pgl2_order,
     psl2_order,
@@ -85,21 +86,58 @@ class TestCanonicalize:
         assert np.array_equal(once, mat_canonicalize(once, q))
 
 
-class TestEncode:
-    def test_roundtrip(self):
-        q = 19
-        rng = np.random.default_rng(6)
-        mats = rng.integers(0, q, size=(200, 4))
-        keys = mat_encode(mats, q)
-        assert np.array_equal(mat_decode(keys, q), mats)
+def _canonical_forms(q: int) -> np.ndarray:
+    """Every canonical invertible matrix, enumerated from the definition.
 
-    def test_injective(self):
-        q = 5
+    First non-zero entry 1: ``a = 1`` with any ``b, c, d``, or ``a = 0,
+    b = 1`` with any ``c, d`` (``a = b = 0`` is singular); singular ones
+    dropped.  Base-q digit order, independent of ``mat_encode``.
+    """
+    grid = np.stack(
+        np.meshgrid(*(np.arange(q),) * 3, indexing="ij"), axis=-1
+    ).reshape(-1, 3)
+    a1 = np.concatenate([np.ones((len(grid), 1), dtype=np.int64), grid], axis=1)
+    cd = grid[grid[:, 0] == 0][:, 1:]  # one row per (c, d)
+    a0 = np.concatenate(
+        [np.zeros((len(cd), 1), dtype=np.int64),
+         np.ones((len(cd), 1), dtype=np.int64), cd], axis=1)
+    forms = np.concatenate([a0, a1])
+    return forms[mat_determinant(forms, q) != 0]
+
+
+class TestEncode:
+    @pytest.mark.parametrize("q", [3, 5, 19])
+    def test_roundtrip(self, q):
+        # mat_encode is a key of canonical forms; every one decodes back.
+        forms = _canonical_forms(q)
+        assert len(forms) == pgl2_order(q)
+        keys = mat_encode(forms, q)
+        assert np.array_equal(mat_decode(keys, q), forms)
+
+    @pytest.mark.parametrize("q", [3, 5, 7])
+    def test_injective(self, q):
+        # Every invertible matrix canonicalises to one of |PGL(2, q)|
+        # forms, and those take distinct keys, dense in [0, q^3 + q^2) and
+        # ascending in the forms' base-q digit order.
         grid = np.stack(
             np.meshgrid(*(np.arange(q),) * 4, indexing="ij"), axis=-1
         ).reshape(-1, 4)
-        keys = mat_encode(grid, q)
-        assert len(np.unique(keys)) == q**4
+        grid = grid[mat_determinant(grid, q) != 0]
+        keys = mat_encode(mat_canonicalize(grid, q), q)
+        assert len(np.unique(keys)) == pgl2_order(q)
+        form_keys = mat_encode(_canonical_forms(q), q)
+        assert np.array_equal(np.unique(keys), form_keys)
+        assert form_keys.min() >= 0 and form_keys.max() < q**3 + q**2
+
+    @pytest.mark.parametrize("q", [5, 13])
+    def test_product_keys_match_the_general_path(self, q):
+        forms = _canonical_forms(q)
+        rng = np.random.default_rng(q)
+        for g in forms[rng.choice(len(forms), size=8, replace=False)]:
+            expect = mat_encode(
+                mat_canonicalize(mat_multiply(forms, g[None, :], q), q), q
+            )
+            assert np.array_equal(mat_product_keys(forms, g, q), expect)
 
 
 class TestGroupOrders:

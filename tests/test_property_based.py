@@ -129,6 +129,28 @@ class TestMatrixProperties:
         if int(mat_encode(ca, q)[0]) == int(mat_encode(cb, q)[0]):
             assert np.array_equal(ca, cb)
 
+    @given(q=st.sampled_from([3, 5, 13, 61, 101]), data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_key_is_dense_and_orders_like_base_q_digits(self, q, data):
+        mats = np.array(
+            data.draw(
+                st.lists(
+                    st.lists(st.integers(0, q - 1), min_size=4, max_size=4),
+                    min_size=2, max_size=12,
+                )
+            )
+        )
+        mats = mats[mat_determinant(mats, q) != 0]
+        canon = mat_canonicalize(mats, q)
+        keys = mat_encode(canon, q)
+        digits = ((canon[:, 0] * q + canon[:, 1]) * q + canon[:, 2]) * q + canon[:, 3]
+        assert np.all((keys >= 0) & (keys < q**3 + q**2))
+        for i in range(len(keys)):
+            for j in range(len(keys)):
+                # Injective on canonical forms, and the same order.
+                assert (keys[i] == keys[j]) == np.array_equal(canon[i], canon[j])
+                assert (keys[i] < keys[j]) == (digits[i] < digits[j])
+
 
 # -- quaternions ---------------------------------------------------------------
 class TestQuaternionProperties:

@@ -22,6 +22,9 @@ Two invariants the cycle engine's correctness rests on:
 
 from __future__ import annotations
 
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -199,6 +202,22 @@ def _schedules(draw):
     return FaultSchedule(events), recover_all
 
 
+def per_entry_cell_rewrite(net):
+    """The masked next-hop arrays by the per-entry cell rule: every stored
+    hop's cell and int64 edge id, a bincount of the live ones per cell,
+    and its cumulative sum as offsets in the stored dtype."""
+    indptr, slots = net._nh_indptr, net._nh_slots
+    ncells = len(indptr) - 1
+    cell = np.repeat(np.arange(ncells, dtype=np.int64), np.diff(indptr))
+    eid = net._row_start[cell // net.n_routers] + slots
+    alive = np.asarray(net._mask._dead_edge, dtype=np.int64)[eid] == 0
+    counts = np.bincount(cell[alive], minlength=ncells)
+    out = np.empty(ncells + 1, dtype=indptr.dtype)
+    out[0] = 0
+    np.cumsum(counts, out=out[1:])
+    return out, slots[alive]
+
+
 class TestEpochRewriteConservation:
     @settings(max_examples=25, deadline=None)
     @given(_schedules())
@@ -217,6 +236,26 @@ class TestEpochRewriteConservation:
 
     @settings(max_examples=25, deadline=None)
     @given(_schedules())
+    def test_every_rewrite_matches_the_per_entry_cell_rule(self, parts, data):
+        schedule, recover_all = data
+        rewrites = []
+        original = BatchedSimulator._rebuild_masked
+
+        def checked(net):
+            original(net)
+            rewrites.append(1)
+            want_indptr, want_slots = per_entry_cell_rewrite(net)
+            assert net._m_indptr.dtype == want_indptr.dtype
+            assert net._m_indptr.tobytes() == want_indptr.tobytes()
+            assert net._m_slots.dtype == want_slots.dtype
+            assert net._m_slots.tobytes() == want_slots.tobytes()
+
+        with mock.patch.object(BatchedSimulator, "_rebuild_masked", checked):
+            _run_faulted(parts, schedule)
+        assert len(rewrites) >= (1 if len(schedule) else 0)
+
+    @settings(max_examples=25, deadline=None)
+    @given(_schedules())
     def test_full_recovery_restores_the_masked_tables_exactly(
         self, parts, data
     ):
@@ -232,3 +271,48 @@ class TestEpochRewriteConservation:
         assert np.array_equal(net._m_indptr, net._nh_indptr)
         assert net._m_slots.dtype == net._nh_slots.dtype
         assert np.array_equal(net._m_slots, net._nh_slots)
+
+
+class TestEpochRewriteMemory:
+    def test_paper_scale_link_faults(self):
+        # Paper-scale SpectralFly (7,076,160 stored next hops) with 1% of
+        # its links failing and recovering: the epoch machinery keeps one
+        # int32 edge id per stored hop, and every rewrite still equals the
+        # per-entry cell rule byte for byte.
+        topo = build_lps(23, 13)
+        tables = RoutingTables(topo.graph, use_cache=False)
+        schedule = FaultSchedule.random_link_faults(
+            topo.graph, 0.01, 2000.0, seed=0, t_recover=4000.0
+        )
+        net = BatchedSimulator(
+            topo, make_routing("minimal", tables, seed=0),
+            SimConfig(concentration=8), tables=tables, faults=schedule,
+        )
+        tracemalloc.start()
+        try:
+            net._init_faults()
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert held <= 50e6, f"held {held / 1e6:.1f} MB"
+        assert peak <= 120e6, f"peak {peak / 1e6:.1f} MB"
+
+        def assert_rule():
+            want_indptr, want_slots = per_entry_cell_rewrite(net)
+            assert net._m_indptr.dtype == want_indptr.dtype
+            assert net._m_indptr.tobytes() == want_indptr.tobytes()
+            assert net._m_slots.tobytes() == want_slots.tobytes()
+
+        assert_rule()
+        mask = net._mask
+        for t in sorted({ev.t for ev in schedule.events}):
+            for ev in schedule.events:
+                if ev.t == t and ev.kind == "link-down":
+                    mask.fail_link(ev.a, ev.b)
+                elif ev.t == t:
+                    mask.restore_link(ev.a, ev.b)
+            net._rebuild_masked()
+            assert_rule()
+        assert mask.pristine
+        assert net._m_indptr.tobytes() == net._nh_indptr.tobytes()
+        assert net._m_slots.tobytes() == net._nh_slots.tobytes()

@@ -27,11 +27,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from repro.graphs.bfs import bfs_distances
 from repro.routing.oracles import (
     CAYLEY_FAMILIES,
     CayleyOracle,
     DenseOracle,
     LandmarkOracle,
+    WordTranslator,
     oracle_for,
     translator_for,
 )
@@ -184,6 +186,19 @@ class TestOracleEquivalence:
             assert lazy_m.live_min_candidates(u, d) == list(
                 dense_m.live_min_candidates(u, d)
             )
+
+
+class TestWordTranslator:
+    @pytest.mark.parametrize("fixture", ["lps_3_5", "lps_11_7", "lps_23_11"])
+    def test_depth_is_the_graph_bfs_from_vertex_0(self, fixture, request):
+        # CayleyOracle takes its identity ball from the translator's depth
+        # instead of a second BFS; the two must agree.
+        topo = request.getfixturevalue(fixture)
+        tr = WordTranslator(topo.gen_perms)
+        expect = bfs_distances(topo.graph, 0)
+        np.testing.assert_array_equal(tr.depth, expect)
+        oracle = CayleyOracle(topo.graph, tr)
+        np.testing.assert_array_equal(oracle._balls, expect[None, :])
 
 
 class TestLandmarkBounds:

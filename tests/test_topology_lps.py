@@ -1,9 +1,12 @@
 """Tests for the LPS / SpectralFly construction (paper Definition 3)."""
 
+import hashlib
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from repro.errors import ParameterError
+from repro.errors import ConstructionError, ParameterError
 from repro.graphs.metrics import diameter, girth, is_bipartite, is_connected
 from repro.nt.modular import legendre_symbol
 from repro.spectral import is_ramanujan, lambda_g, ramanujan_bound
@@ -151,6 +154,82 @@ class TestBuiltGraphs:
         a = build_lps(11, 7).graph.edge_array()
         b = build_lps(11, 7).graph.edge_array()
         assert np.array_equal(a, b)
+
+
+#: sha256 over (dtype, shape, bytes) of ``graph.indptr``, ``graph.indices``
+#: and ``gen_perms``, recorded from the closure that resolved each BFS level
+#: through a sorted key array and built the graph from an edge list.
+#: PGL: (3,5), (5,13), (19,7), (71,17), (89,19); PSL: the rest.
+BUILD_DIGESTS = {
+    (3, 5): "13710390a722f6480742963fb34adad309dd0cdeb4eb4271b1ed3c4e93b9b01e",
+    (3, 11): "c695da7123991fe7fffaefc854b15b697556962b12dcd1d73affbe0626f31739",
+    (5, 13): "9891bbd48c5efee9d23c78d9c26311b6a083fd08f7df34f3896fbbcee22eb12f",
+    (11, 7): "8f981742b834c602df36801c2db18d9180d6d6430dd1d9007e14af80550ed0fb",
+    (19, 7): "b8adb1cb019a76962531565bdf0f395136eefa8b114ed80cb5b8f05daf511233",
+    (23, 11): "e27aac4b21e03c48a42151e62b0d763b7bc3352ffde968b3cd26f110f7968236",
+    (23, 13): "28ac30630b84107adddc5ac05efbd700954b4d8d49e479310aa0d8b238b740ae",
+    (7, 19): "ba58fc3ab93014644ccca99bdcb17d3b657d235b00cf6321c817d5aeb66836b5",
+    (53, 17): "572cce6b06227c59e6efb27b7c5e36a3a7900a658d836c16d1c55aba2195e162",
+    (71, 17): "2790d886686181758f9e2ec0ad2390dbadbfa0b1c0acd3261e3110bc6ef96077",
+    (89, 19): "ce91ae9fb902ef7d01f5344526b9136c275937887a25de51b1808096df767bea",
+    (5, 61): "9f51e149b9ed2e4a3de9b0b745fa44943416fd9421f9caedf35fcdbc2e71583c",
+}
+
+
+def _build_digest(topo) -> str:
+    h = hashlib.sha256()
+    for a in (topo.graph.indptr, topo.graph.indices, topo.gen_perms):
+        h.update(str(a.dtype).encode())
+        h.update(str(a.shape).encode())
+        h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()
+
+
+class TestOnePassBuild:
+    @pytest.mark.parametrize(
+        "p,q", sorted(BUILD_DIGESTS), ids=lambda v: str(v)
+    )
+    def test_arrays_byte_identical_to_the_edge_list_build(self, p, q):
+        # Vertex numbering, CSR rows and permutations are pinned: cached
+        # "lps-gen-perms" entries and topology pickles stay valid.
+        assert _build_digest(build_lps(p, q)) == BUILD_DIGESTS[(p, q)]
+
+    def test_build_holds_little_beyond_its_output(self):
+        build_lps(3, 5)  # imports and inverse tables outside the trace
+        tracemalloc.start()
+        try:
+            topo = build_lps(5, 61)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        g = topo.graph
+        out = g.indptr.nbytes + g.indices.nbytes + topo.gen_perms.nbytes
+        assert peak <= 6 * out, f"peak {peak / out:.2f}x the output"
+
+    def test_rows_are_the_sorted_generator_images(self, lps_11_7):
+        g, perms = lps_11_7.graph, lps_11_7.gen_perms
+        rows = g.indices.reshape(g.n, -1)
+        assert np.array_equal(rows, np.sort(perms.T, axis=1))
+        assert np.array_equal(g.indptr, np.arange(0, g.n * 12 + 1, 12))
+
+    @pytest.mark.parametrize("validate", [True, False])
+    @pytest.mark.parametrize("p,q", [(13, 3), (41, 5), (59, 7)])
+    def test_parallel_generator_edges_rejected(self, p, q, validate):
+        # q too small for p: generators coincide in PGL(2, q), so the
+        # sorted images would repeat a neighbour.
+        with pytest.raises(ConstructionError, match="parallel generator"):
+            build_lps(p, q, validate=validate)
+
+    def test_generator_set_must_be_closed_under_inverse(self, monkeypatch):
+        import repro.topology.lps as lps
+
+        # LPS(5,13)'s six generators are three inverse pairs; drop one.
+        gens = lps.lps_generator_matrices(5, 13)
+        monkeypatch.setattr(
+            lps, "lps_generator_matrices", lambda p, q: gens[:-1]
+        )
+        with pytest.raises(ConstructionError, match="inverse"):
+            lps.build_lps(5, 13, validate=False)
 
 
 class TestDesignSpace:
